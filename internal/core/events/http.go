@@ -177,7 +177,7 @@ func Handler(h *Hub) http.Handler {
 // transport; the seed built a fresh http.Client (and connection) per
 // subscription. The timeout bounds each POST because a dead callback
 // must not park its pusher goroutine.
-var pushClient = transport.ClientWithTimeout(5 * time.Second)
+var pushClient = (&transport.Dialer{Timeout: 5 * time.Second}).HTTPClient()
 
 // pushDeliverer POSTs one event per request to the callback URL.
 func pushDeliverer(callback string) func(service.Event) error {

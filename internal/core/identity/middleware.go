@@ -91,7 +91,7 @@ func Require(auth *Auth, ownOnly bool, deny DenyWriter, next http.Handler) http.
 		// an attacker-chosen nonce — an oracle for forging "authentic"
 		// refusals to third parties. Unverified callers get their denial
 		// unsigned; verifying clients surface it as unverified peer
-		// refusal (transport.NewAuthClient).
+		// refusal (a transport.Dialer's signing HTTP client).
 		if verr == nil {
 			auth.SignResponse(buf.header, nonce, buf.body.Bytes())
 		}

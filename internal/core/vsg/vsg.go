@@ -266,8 +266,7 @@ func (g *VSG) rebuildHTTP() {
 	switch {
 	case g.auth != nil:
 		// The Dialer owns credentials and per-authority protocol
-		// negotiation; its HTTP side is the same credential-signing
-		// client NewAuthClientOver built before.
+		// negotiation; its HTTP side is the credential-signing client.
 		g.dialer = transport.NewDialer(g.auth)
 		g.dialer.Transport = g.rt
 		if g.binaryOff {
@@ -382,7 +381,7 @@ func (g *VSG) SetLoopbackEnabled(on bool) {
 func (g *VSG) SetBinaryEnabled(on bool) {
 	g.binaryOff = !on
 	if g.dialer != nil {
-		g.dialer.Binary = on && g.auth != nil
+		g.dialer.SetBinary(on && g.auth != nil)
 	}
 	if g.bin != nil {
 		g.bin.SetEnabled(on)
@@ -472,22 +471,13 @@ func (g *VSG) buildMux() *http.ServeMux {
 		ops.AuditHandler(func() *audit.Log { return g.auditLog.Load() })))
 	if g.auth != nil {
 		// The binary fast-path face: session-authenticated callers reach
-		// the same inbound dispatch as the SOAP face. Binary-encoded calls
-		// skip the XML codec entirely; anything else (tunneled XML) replays
-		// through the ordinary HTTP handler with the caller injected.
+		// the same inbound dispatch as the SOAP face, with the XML codec
+		// replaced by the binary call encoding.
 		g.bin = transport.NewBinServer(g.auth)
 		if g.binaryOff {
 			g.bin.SetEnabled(false)
 		}
-		xmlFace := identity.BinFace(g.auth, false, soap.AuthFaultWriter,
-			soap.NewHTTPHandler(inbound{g: g}))
-		g.bin.Handle(servicesPath, transport.BinHandlerFunc(
-			func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
-				if req.ContentType == soap.BinCallContentType {
-					return g.serveBinCall(ctx, caller, req)
-				}
-				return xmlFace.ServeBin(ctx, caller, req)
-			}))
+		g.bin.Handle(servicesPath, transport.BinHandlerFunc(g.serveBinCall))
 	}
 	return mux
 }
@@ -498,6 +488,9 @@ func (g *VSG) buildMux() *http.ServeMux {
 // the compact framing. Faults ride status 500, as SOAP 1.1 requires,
 // so both paths classify outcomes identically.
 func (g *VSG) serveBinCall(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
+	if req.ContentType != soap.BinCallContentType {
+		return binFaultResponse(&soap.Fault{Code: "Client", String: "binary face: unsupported content type " + req.ContentType})
+	}
 	call, err := soap.DecodeBinCall(req.Body)
 	if err != nil {
 		return binFaultResponse(&soap.Fault{Code: "Client", String: err.Error()})
@@ -1070,16 +1063,6 @@ func (g *VSG) CallStats() CallStats {
 		Loopback: g.loopbackCalls.Load(),
 		Denied:   g.deniedCalls.Load(),
 	}
-}
-
-// Stats returns the gateway's call counters: calls served for remote
-// peers (inbound), calls issued to federation services (outbound), and
-// how many of those outbound calls took the in-process loopback fast
-// path instead of the wire. Thin wrapper over CallStats, kept for the
-// benchmark harness and older callers.
-func (g *VSG) Stats() (inbound, outbound, loopback uint64) {
-	s := g.CallStats()
-	return s.Inbound, s.Outbound, s.Loopback
 }
 
 // Health describes the gateway's repository liaison: the registration-

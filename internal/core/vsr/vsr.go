@@ -87,7 +87,7 @@ func NewSet(urls ...string) *VSR {
 
 // SetHTTPClient replaces the underlying HTTP client — how gateways and
 // peer links route repository traffic through a credential-signing
-// client (transport.NewAuthClient) when their home has an identity. Call
+// client (a transport.Dialer's HTTPClient) when their home has an identity. Call
 // before the first request.
 func (v *VSR) SetHTTPClient(c *http.Client) { v.client.HTTP = c }
 
@@ -526,11 +526,9 @@ type Server struct {
 	// unreachable, keeping the simulation deterministic and SOAP-only.
 	bin *transport.BinServer
 
-	// peerH is the peering face mounted at /peer, nil until MountPeer.
-	// peerView is its binary-native twin (see MountPeerView): the
-	// per-caller export view the native registry face filters through.
+	// peerView is the per-caller export view both /peer faces serve
+	// through, nil until MountPeer.
 	peerMu   sync.RWMutex
-	peerH    http.Handler
 	peerView func(caller string) uddi.View
 
 	// healthH and auditH are the read-only operability faces mounted at
@@ -608,47 +606,22 @@ func newServer(reg *uddi.Server, auth *identity.Auth) *Server {
 	s := &Server{registry: reg, auth: auth}
 	mux := http.NewServeMux()
 	// The read-write face is for this home only: gateways publish,
-	// resolve and watch here. Peers get the read-only /peer face.
-	mux.Handle("/uddi", identity.Require(auth, true, uddi.AuthErrorWriter, reg.Handler()))
-	// The peer face admits any trusted home; the mounted handler's
-	// per-caller view decides what each one sees. peerInner is shared
-	// with the binary face, which authenticates at the session handshake
-	// instead of per request.
-	peerInner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.peerMu.RLock()
-		h := s.peerH
-		s.peerMu.RUnlock()
-		if h == nil {
-			http.Error(w, "peering not enabled on this repository", http.StatusNotFound)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
-	mux.Handle("/peer", identity.Require(auth, false, uddi.AuthErrorWriter, peerInner))
+	// resolve and watch here. Peers get the read-only /peer face, which
+	// admits any trusted home and serves each one the mounted per-caller
+	// view. Each face is one description mounted on both wires: signed
+	// XML over HTTP, and — once the home has an identity — binuddi
+	// records over the session-authenticated binary fast path.
+	own := uddi.Face{}
 	if auth != nil {
-		// The binary fast path mirrors the signed faces with the same
-		// home-boundary policy: /uddi stays private to this home, /peer
-		// admits any session-authenticated peer. Registry operations in
-		// the native binary encoding dispatch straight onto the store;
-		// tunneled XML falls back to the HTTP handlers unchanged.
+		own.OwnHome = auth.Home()
+	}
+	peer := uddi.Face{ReadOnly: true, ViewFor: s.peerViewFor}
+	mux.Handle("/uddi", identity.Require(auth, true, uddi.AuthErrorWriter, reg.Handler(own)))
+	mux.Handle("/peer", identity.Require(auth, false, uddi.AuthErrorWriter, reg.Handler(peer)))
+	if auth != nil {
 		s.bin = transport.NewBinServer(auth)
-		s.bin.Handle("/uddi", reg.BinHandler(uddi.BinOptions{
-			OwnHome:  auth.Home(),
-			Fallback: identity.BinFace(auth, true, uddi.AuthErrorWriter, reg.Handler()),
-		}))
-		s.bin.Handle("/peer", reg.BinHandler(uddi.BinOptions{
-			ReadOnly: true,
-			ViewFor: func(caller string) (uddi.View, bool) {
-				s.peerMu.RLock()
-				vf := s.peerView
-				s.peerMu.RUnlock()
-				if vf == nil {
-					return nil, false
-				}
-				return vf(caller), true
-			},
-			Fallback: identity.BinFace(auth, false, uddi.AuthErrorWriter, peerInner),
-		}))
+		s.bin.Handle("/uddi", reg.BinHandler(own))
+		s.bin.Handle("/peer", reg.BinHandler(peer))
 	}
 	// The operability faces are read-only and, like /uddi, private to the
 	// home's own identity; they serve 404 until MountOps supplies
@@ -695,29 +668,28 @@ func (s *Server) authority() string {
 func (s *Server) URL() string { return "http://" + s.authority() + "/uddi" }
 
 // PeerURL returns the endpoint other homes replicate from (see
-// MountPeer). It serves 404 until a peering handler is mounted.
+// MountPeer). It answers 404 until a view is mounted.
 func (s *Server) PeerURL() string { return "http://" + s.authority() + "/peer" }
 
-// MountPeer installs the peering face of the repository at /peer —
-// normally a policy-filtered uddi.ViewHandler built by
-// internal/core/peer. A nil handler unmounts it.
-func (s *Server) MountPeer(h http.Handler) {
-	s.peerMu.Lock()
-	s.peerH = h
-	s.peerMu.Unlock()
-}
-
-// MountPeerView installs the binary-native twin of the peering face:
-// the per-caller export view the native registry encoding filters
-// through. Mount it alongside MountPeer — the XML face serves HTTP and
-// tunneled documents, the view serves native binary records; both must
-// apply the same policy. A nil view unmounts (native peer requests are
-// then refused, and tunneled XML still answers through the mounted
-// handler).
-func (s *Server) MountPeerView(viewFor func(caller string) uddi.View) {
+// MountPeer installs the per-caller export view the peering face at
+// /peer serves through, on both wires — normally
+// peer.Peering.ExportView. A nil view unmounts it: /peer then refuses
+// service.
+func (s *Server) MountPeer(viewFor func(caller string) uddi.View) {
 	s.peerMu.Lock()
 	s.peerView = viewFor
 	s.peerMu.Unlock()
+}
+
+// peerViewFor is the /peer face's view chooser.
+func (s *Server) peerViewFor(caller string) (uddi.View, bool) {
+	s.peerMu.RLock()
+	vf := s.peerView
+	s.peerMu.RUnlock()
+	if vf == nil {
+		return nil, false
+	}
+	return vf(caller), true
 }
 
 // MountOps installs the read-only operability faces at /health and

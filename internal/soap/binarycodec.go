@@ -20,7 +20,7 @@ import (
 )
 
 // BinCallContentType discriminates a binary-encoded call (or response)
-// body on the fast path; XML faces tunnel with their usual text/xml.
+// body on the fast path.
 const BinCallContentType = "application/x-homeconnect-bincall"
 
 const binCodecVersion = 1

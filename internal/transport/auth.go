@@ -49,25 +49,6 @@ type Credentials interface {
 	VerifyResponse(h http.Header, exchange string, body []byte) error
 }
 
-// NewAuthClient returns an http.Client over the shared keep-alive
-// transport that signs every request and verifies every response with
-// creds. Like Client, it sets no overall timeout — deadlines come from
-// request contexts.
-//
-// Deprecated: use NewDialer(creds).HTTPClient(), which adds binary
-// fast-path negotiation on top of the same signing round tripper.
-func NewAuthClient(creds Credentials) *http.Client {
-	return &http.Client{Transport: &authRoundTripper{creds: creds}}
-}
-
-// NewAuthClientOver is NewAuthClient with the underlying round trips
-// routed through rt instead of the shared TCP transport — how simulated
-// homes sign traffic that never leaves the process. A nil rt falls back
-// to the shared transport.
-func NewAuthClientOver(creds Credentials, rt http.RoundTripper) *http.Client {
-	return &http.Client{Transport: &authRoundTripper{creds: creds, next: rt}}
-}
-
 // authRoundTripper signs requests and verifies responses around an
 // underlying transport — the shared keep-alive transport by default, or
 // an injected one (a MemNet for socketless simulation).

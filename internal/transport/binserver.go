@@ -1,10 +1,10 @@
 // The listening side of the binary fast path: a BinServer authenticates
 // each connection with one signed handshake (SessionAuth), then serves
 // MAC'd request frames against a path-prefix route table. The routes are
-// the same faces the HTTP mux serves — /uddi, /peer, /services/ — so a
-// request tunneled here and the same request POSTed over SOAP/HTTP reach
-// identical application logic; only the framing and the per-operation
-// signature differ.
+// the same faces the HTTP mux serves — /uddi, /peer, /services/ — each
+// in its binary encoding, so a request framed here and its twin POSTed
+// over SOAP/HTTP reach identical application logic; only the encoding,
+// the framing and the per-operation signature differ.
 package transport
 
 import (
@@ -17,12 +17,12 @@ import (
 	"time"
 )
 
-// BinRequest is one tunneled request as a route handler sees it.
+// BinRequest is one framed request as a route handler sees it.
 type BinRequest struct {
 	// Path is the request path, e.g. "/uddi" or "/services/x10:lamp-1".
 	Path string
-	// ContentType describes Body: text/xml for tunneled XML faces,
-	// soap.BinCallContentType for the binary call encoding.
+	// ContentType names Body's encoding: soap.BinCallContentType for
+	// calls, uddi.BinContentType for registry records.
 	ContentType string
 	// Action carries the SOAPAction equivalent, when the face uses one.
 	Action string
@@ -39,7 +39,7 @@ type BinResponse struct {
 	Body        []byte
 }
 
-// BinHandler serves tunneled requests for one path prefix. caller is the
+// BinHandler serves framed requests for one path prefix. caller is the
 // session-authenticated remote home — the same principal the per-op
 // signature middleware would have established.
 type BinHandler interface {

@@ -1,11 +1,8 @@
 // Dialer is the one client-construction surface for everything that
-// crosses a home boundary. It replaces the four ad-hoc constructions
-// that grew over PRs 3–7 — Client(), ClientWithTimeout(), NewAuthClient,
-// MemNet.AuthClient — with a single object that owns:
+// crosses a home boundary. It owns:
 //
-//   - credentials: per-operation request signing on the SOAP/HTTP path
-//     (exactly what NewAuthClientOver built), and the session handshake
-//     on the binary path;
+//   - credentials: per-operation request signing on the SOAP/HTTP path,
+//     and the session handshake on the binary path;
 //   - protocol negotiation: whether a given authority speaks the binary
 //     fast path, discovered once and remembered, with degradation back
 //     to SOAP that never drops application state (the request body —
@@ -13,9 +10,8 @@
 //   - the MemNet seam: a custom RoundTripper carries the HTTP path, and
 //     confines binary negotiation to in-process authorities.
 //
-// soap, uddi, events, upnp and peer clients take a *Dialer; the old
-// entry points remain as deprecated aliases so out-of-tree callers keep
-// compiling.
+// soap, uddi, events, upnp and peer clients take a *Dialer. Client()
+// remains only for the perfbench module, which holds no Dialer.
 package transport
 
 import (
@@ -95,8 +91,8 @@ type Dialer struct {
 	// Binary gates fast-path negotiation. NewDialer turns it on when
 	// the credentials can run session handshakes.
 	Binary bool
-	// Timeout, when set, bounds each HTTP request (the old
-	// ClientWithTimeout behaviour).
+	// Timeout, when set, bounds each HTTP request, for delivery paths
+	// without a context discipline (push callbacks).
 	Timeout time.Duration
 
 	mu    sync.Mutex
@@ -165,9 +161,21 @@ func (d *Dialer) HTTPClient() *http.Client {
 	return d.httpC
 }
 
+// SetBinary turns fast-path negotiation on or off on a dialer that may
+// already be in use (the Binary field is for configuration before first
+// use).
+func (d *Dialer) SetBinary(on bool) {
+	d.mu.Lock()
+	d.Binary = on
+	d.mu.Unlock()
+}
+
 // binaryEligible reports whether fast-path negotiation is even possible.
 func (d *Dialer) binaryEligible() bool {
-	return d.Binary && d.Session != nil && d.Session.SessionActive()
+	d.mu.Lock()
+	on := d.Binary
+	d.mu.Unlock()
+	return on && d.Session != nil && d.Session.SessionActive()
 }
 
 // link returns (creating if needed) the state for an authority.
@@ -221,8 +229,15 @@ func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action strin
 	res, err := l.exchange(ctx, path, contentType, action, body)
 	if err != nil {
 		l.discard()
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("transport: binary exchange: %w", ctx.Err())
+		// The connection's deadline is the context's, and the socket
+		// timer can fire before the context's own: a passed deadline is
+		// the caller's doing even while ctx.Err is still nil.
+		cerr := ctx.Err()
+		if d, ok := ctx.Deadline(); cerr == nil && ok && !time.Now().Before(d) {
+			cerr = context.DeadlineExceeded
+		}
+		if cerr != nil {
+			return nil, fmt.Errorf("transport: binary exchange: %w", cerr)
 		}
 		d.downgrade(st)
 		return nil, fmt.Errorf("%w: %v", ErrBinaryUnavailable, err)
@@ -571,18 +586,29 @@ func (l *binLink) discard() {
 }
 
 // watchCtx interrupts a blocking conn read/write when ctx is canceled;
-// the returned stop must be called when the exchange completes.
+// the returned stop must be called when the exchange completes. stop
+// waits for the watcher, and clears the deadline it set: a cancellation
+// racing the exchange's completion must not leave a past deadline on a
+// connection that goes back to the pool.
 func watchCtx(ctx context.Context, conn net.Conn) (stop func()) {
 	if ctx.Done() == nil {
 		return func() {}
 	}
 	done := make(chan struct{})
+	fired := make(chan bool, 1)
 	go func() {
 		select {
 		case <-ctx.Done():
 			conn.SetDeadline(time.Unix(1, 0)) // unblock immediately
+			fired <- true
 		case <-done:
+			fired <- false
 		}
 	}()
-	return func() { close(done) }
+	return func() {
+		close(done)
+		if <-fired {
+			conn.SetDeadline(time.Time{})
+		}
+	}
 }

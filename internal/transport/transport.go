@@ -49,16 +49,8 @@ func Shared() *http.Transport { return shared }
 // (event and registry watches) legitimately park longer than any sane
 // global timeout.
 //
-// Deprecated: construct a Dialer (NewDialer(nil) for an anonymous one)
-// and use its HTTPClient; the Dialer additionally owns credentials and
-// binary fast-path negotiation. Client remains for out-of-tree callers.
+// In-tree code constructs a Dialer (NewDialer(nil) for an anonymous one)
+// and uses its HTTPClient; the Dialer additionally owns credentials and
+// binary fast-path negotiation. Client remains for the perfbench module,
+// which builds against this package from outside its tree.
 func Client() *http.Client { return client }
-
-// ClientWithTimeout returns a client over the shared transport with an
-// overall per-request timeout, for delivery paths without a context
-// discipline (push callbacks).
-//
-// Deprecated: set Dialer.Timeout and use Dialer.HTTPClient instead.
-func ClientWithTimeout(d time.Duration) *http.Client {
-	return &http.Client{Transport: shared, Timeout: d}
-}

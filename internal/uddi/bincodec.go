@@ -1,12 +1,13 @@
-// Binary-native registry protocol: the framework-internal encoding of
-// the UDDI operations (save/find/get/delete/watch) for the session-keyed
-// fast path. The XML wire stays byte-identical for HTTP callers; between
-// framework-owned endpoints that negotiated a binary session, the same
-// operations ride compact WAL-style records — op byte, uvarint lengths —
-// inside MAC'd frames, skipping XML encode/escape/parse entirely. This
-// is where the fast path earns its latency target: the frame layer alone
-// only removes HTTP, while registry traffic (watch rounds above all) is
-// dominated by document encoding.
+// Binary-native registry records (binuddi): the framework-internal
+// encoding of the registry operations for the session-keyed fast path.
+// Between framework-owned endpoints that negotiated a binary session,
+// each operation in the op table (ops.go) rides a compact WAL-style
+// record — version byte, op byte, uvarint lengths — inside a MAC'd
+// frame, skipping XML encode/escape/parse entirely. Registry traffic
+// (watch rounds above all) is dominated by document encoding, so this is
+// where the fast path earns its latency target. The XML documents stay
+// byte-identical for HTTP callers; a client whose binary lane is not
+// negotiated sends those instead.
 //
 // The record grammar reuses the WAL's field encoding (appendWALString /
 // walReader), so an entry encodes identically in the journal on disk and
@@ -14,10 +15,9 @@
 package uddi
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
-	"net/http"
+	"math"
 	"sort"
 	"time"
 
@@ -25,9 +25,8 @@ import (
 	"homeconnect/internal/transport"
 )
 
-// BinContentType marks a binary-native registry request or response
-// inside a fast-path frame. Anything else on a registry face is treated
-// as tunneled XML and handed to the HTTP handler.
+// BinContentType marks a binuddi request or response inside a fast-path
+// frame.
 const BinContentType = "application/x-homeconnect-binuddi"
 
 // binUDDIVersion versions the record grammar; a decoder seeing a higher
@@ -36,32 +35,85 @@ const binUDDIVersion = 1
 
 // Request records.
 const (
-	binUDDISaveAll = 'S' // uvarint ttlMS, uvarint n, n × entry
-	binUDDIDelete  = 'D' // key
-	binUDDIFind    = 'F' // name, tModel, uvarint n, n × (key, value)
-	binUDDIGet     = 'G' // key
-	binUDDIWatch   = 'W' // uvarint since, uvarint timeoutMS, uvarint sinceEpoch
+	binUDDISaveAll = 'S'
+	binUDDIDelete  = 'D'
+	binUDDIFind    = 'F'
+	binUDDIGet     = 'G'
+	binUDDIWatch   = 'W'
 	// Replication requests (private repository face only; see replica.go).
-	binUDDIReplSync   = 'Y' // (empty)
-	binUDDIReplWatch  = 'V' // uvarint since, uvarint timeoutMS, uvarint epoch
-	binUDDIReplStatus = 'Q' // (empty)
+	binUDDIReplSync   = 'Y'
+	binUDDIReplWatch  = 'V'
+	binUDDIReplStatus = 'Q'
 )
 
 // Response records.
 const (
-	binUDDIKeys    = 'K' // uvarint n, n × key
-	binUDDIEntries = 'L' // uvarint seq, uvarint n, n × entry
-	binUDDIChanges = 'C' // uvarint next, bool resync, uvarint epoch, uvarint n, n × (uvarint seq, op byte, entry)
+	binUDDIKeys    = 'K'
+	binUDDIEntries = 'L'
+	binUDDIChanges = 'C'
 	binUDDIError   = 'E' // code, info — the dispositionReport twin
 	// Replication responses.
-	binUDDIReplState   = 'R' // uvarint seq, uvarint epoch, leader, uvarint n, n × (uvarint expMS, entry)
-	binUDDIReplChange  = 'H' // uvarint next, bool resync, uvarint epoch, leader, uvarint n, n × (uvarint seq, op byte, uvarint expMS, entry)
-	binUDDIReplStatusR = 'T' // uvarint seq, uvarint epoch, leader, role, replicaOf
+	binUDDIReplState   = 'R'
+	binUDDIReplChange  = 'H'
+	binUDDIReplStatusR = 'T'
 )
 
+// param is one request parameter. Each op lists its parameters in each
+// encoding's wire order; the comments give the binary form, xmlcodec.go
+// the XML one.
+type param uint8
+
+const (
+	pServices    param = iota // uvarint n, n × entry
+	pService                  // XML only: binary saves always carry a list
+	pTTL                      // uvarint milliseconds
+	pKey                      // string
+	pQuery                    // name, tModel, uvarint n, n × (key, value)
+	pSince                    // uvarint
+	pTimeout                  // uvarint milliseconds
+	pEpoch                    // uvarint
+	pEpochAlways              // XML only: the epoch, written even when zero
+)
+
+// field is one reply value. A reply shape lists its fields in wire order.
+type field uint8
+
+const (
+	fNone          field = iota
+	fKeys                // uvarint n, n × key
+	fEntries             // uvarint n, n × entry
+	fLeased              // uvarint n, n × (uvarint deadline ms, entry)
+	fChanges             // uvarint n, n × (uvarint seq, op byte, entry)
+	fLeasedChanges       // uvarint n, n × (uvarint seq, op byte, uvarint deadline ms, entry)
+	fSeq                 // uvarint
+	fResync              // bool byte
+	fEpoch               // uvarint
+	fLeader              // string
+	fRole                // string
+	fReplicaOf           // string
+	fOK                  // XML only: the constant result="ok"
+)
+
+// binShape is a binary reply record: its op byte and fields.
+type binShape struct {
+	code   byte
+	fields []field
+}
+
+var (
+	binKeys        = binShape{binUDDIKeys, []field{fKeys}}
+	binEntries     = binShape{binUDDIEntries, []field{fSeq, fEntries}}
+	binChanges     = binShape{binUDDIChanges, []field{fSeq, fResync, fEpoch, fChanges}}
+	binReplStatus  = binShape{binUDDIReplStatusR, []field{fSeq, fEpoch, fLeader, fRole, fReplicaOf}}
+	binReplState   = binShape{binUDDIReplState, []field{fSeq, fEpoch, fLeader, fLeased}}
+	binReplChanges = binShape{binUDDIReplChange, []field{fSeq, fResync, fEpoch, fLeader, fLeasedChanges}}
+)
+
+// maxMillis is the largest millisecond count a time.Duration holds.
+const maxMillis = math.MaxInt64 / int64(time.Millisecond)
+
 // appendBinEntry appends one entry in WAL field order (minus the
-// journal-only expiry stamp). Category pairs sort so identical entries
-// encode identically.
+// journal-only expiry stamp).
 func appendBinEntry(b []byte, e *Entry) []byte {
 	b = appendWALString(b, e.Key)
 	b = appendWALString(b, e.Name)
@@ -69,17 +121,21 @@ func appendBinEntry(b []byte, e *Entry) []byte {
 	b = appendWALString(b, e.AccessPoint)
 	b = appendWALString(b, e.TModel)
 	b = appendWALString(b, e.WSDL)
-	b = binary.AppendUvarint(b, uint64(len(e.Categories)))
-	if len(e.Categories) > 0 {
-		keys := make([]string, 0, len(e.Categories))
-		for k := range e.Categories {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendWALString(b, k)
-			b = appendWALString(b, e.Categories[k])
-		}
+	return appendBinPairs(b, e.Categories)
+}
+
+// appendBinPairs appends a string map, pairs sorted by key so identical
+// maps encode identically.
+func appendBinPairs(b []byte, m map[string]string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m)))
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b = appendWALString(b, k)
+		b = appendWALString(b, m[k])
 	}
 	return b
 }
@@ -92,19 +148,43 @@ func decodeBinEntry(r *walReader) Entry {
 	e.AccessPoint = r.str()
 	e.TModel = r.str()
 	e.WSDL = r.str()
-	ncats := int(r.uvarint())
-	if r.err == nil && ncats > 0 {
-		if ncats > maxWALFrame {
-			r.err = fmt.Errorf("uddi: category count out of range")
-			return Entry{}
-		}
-		e.Categories = make(map[string]string, ncats)
-		for i := 0; i < ncats; i++ {
-			k := r.str()
-			e.Categories[k] = r.str()
-		}
-	}
+	e.Categories = decodeBinPairs(r)
 	return e
+}
+
+// decodeBinPairs reads a string map; nil when empty.
+func decodeBinPairs(r *walReader) map[string]string {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]string, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		k := r.str()
+		m[k] = r.str()
+	}
+	return m
+}
+
+func appendMillis(b []byte, d time.Duration) []byte {
+	return binary.AppendUvarint(b, uint64(d/time.Millisecond))
+}
+
+func (r *walReader) millis() time.Duration {
+	v := r.uvarint()
+	if r.err == nil && v > uint64(maxMillis) {
+		r.err = fmt.Errorf("uddi: duration %dms out of range", v)
+		return 0
+	}
+	return time.Duration(v) * time.Millisecond
+}
+
+// deadlineMillis is a lease deadline on the binary wire: 0 for none.
+func deadlineMillis(t time.Time) uint64 {
+	if t.IsZero() {
+		return 0
+	}
+	return uint64(t.UnixMilli())
 }
 
 // binReaderFor validates the version/op header and positions a reader
@@ -119,577 +199,214 @@ func binReaderFor(data []byte) (op byte, r *walReader, err error) {
 	return data[1], &walReader{b: data, off: 2}, nil
 }
 
-// --- request encoding (client side) -------------------------------------
+// --- requests -----------------------------------------------------------
 
-func encodeBinSaveAll(entries []Entry, ttl time.Duration) []byte {
-	b := []byte{binUDDIVersion, binUDDISaveAll}
-	b = binary.AppendUvarint(b, uint64(ttl/time.Millisecond))
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for i := range entries {
-		b = appendBinEntry(b, &entries[i])
-	}
-	return b
-}
-
-func encodeBinDelete(key string) []byte {
-	return appendWALString([]byte{binUDDIVersion, binUDDIDelete}, key)
-}
-
-func encodeBinFind(q Query) []byte {
-	b := []byte{binUDDIVersion, binUDDIFind}
-	b = appendWALString(b, q.Name)
-	b = appendWALString(b, q.TModel)
-	b = binary.AppendUvarint(b, uint64(len(q.Categories)))
-	if len(q.Categories) > 0 {
-		keys := make([]string, 0, len(q.Categories))
-		for k := range q.Categories {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendWALString(b, k)
-			b = appendWALString(b, q.Categories[k])
+func encodeBinRequest(q *request) []byte {
+	b := []byte{binUDDIVersion, q.op.code}
+	for _, p := range q.op.bin {
+		switch p {
+		case pServices:
+			b = binary.AppendUvarint(b, uint64(len(q.entries)))
+			for i := range q.entries {
+				b = appendBinEntry(b, &q.entries[i])
+			}
+		case pTTL:
+			b = appendMillis(b, q.ttl)
+		case pKey:
+			b = appendWALString(b, q.key)
+		case pQuery:
+			b = appendWALString(b, q.query.Name)
+			b = appendWALString(b, q.query.TModel)
+			b = appendBinPairs(b, q.query.Categories)
+		case pSince:
+			b = binary.AppendUvarint(b, q.since)
+		case pTimeout:
+			b = appendMillis(b, q.timeout)
+		case pEpoch:
+			b = binary.AppendUvarint(b, q.epoch)
 		}
 	}
 	return b
 }
 
-func encodeBinGet(key string) []byte {
-	return appendWALString([]byte{binUDDIVersion, binUDDIGet}, key)
+// readBinRequest decodes q.op's parameters from r, positioned past the
+// record header.
+func readBinRequest(r *walReader, q *request) error {
+	for _, p := range q.op.bin {
+		switch p {
+		case pServices:
+			n := r.count()
+			for i := 0; i < n && r.err == nil; i++ {
+				q.entries = append(q.entries, decodeBinEntry(r))
+			}
+		case pTTL:
+			q.ttl = r.millis()
+		case pKey:
+			q.key = r.str()
+		case pQuery:
+			q.query.Name = r.str()
+			q.query.TModel = r.str()
+			q.query.Categories = decodeBinPairs(r)
+		case pSince:
+			q.since = r.uvarint()
+		case pTimeout:
+			q.timeout = r.millis()
+		case pEpoch:
+			q.epoch = r.uvarint()
+		}
+	}
+	return r.err
 }
 
-func encodeBinWatch(since, sinceEpoch uint64, timeout time.Duration) []byte {
-	b := []byte{binUDDIVersion, binUDDIWatch}
-	b = binary.AppendUvarint(b, since)
-	b = binary.AppendUvarint(b, uint64(timeout/time.Millisecond))
-	b = binary.AppendUvarint(b, sinceEpoch)
-	return b
-}
+// --- replies ------------------------------------------------------------
 
-func encodeBinReplSyncReq() []byte {
-	return []byte{binUDDIVersion, binUDDIReplSync}
-}
-
-func encodeBinReplStatusReq() []byte {
-	return []byte{binUDDIVersion, binUDDIReplStatus}
-}
-
-func encodeBinReplWatchReq(since, epoch uint64, timeout time.Duration) []byte {
-	b := []byte{binUDDIVersion, binUDDIReplWatch}
-	b = binary.AppendUvarint(b, since)
-	b = binary.AppendUvarint(b, uint64(timeout/time.Millisecond))
-	b = binary.AppendUvarint(b, epoch)
-	return b
-}
-
-// --- response encoding (server side) ------------------------------------
-
-func encodeBinKeys(keys []string) []byte {
-	b := []byte{binUDDIVersion, binUDDIKeys}
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = appendWALString(b, k)
+func encodeBinReply(sh binShape, p *reply) []byte {
+	b := []byte{binUDDIVersion, sh.code}
+	for _, f := range sh.fields {
+		switch f {
+		case fKeys:
+			b = binary.AppendUvarint(b, uint64(len(p.keys)))
+			for _, k := range p.keys {
+				b = appendWALString(b, k)
+			}
+		case fEntries, fLeased:
+			b = binary.AppendUvarint(b, uint64(len(p.entries)))
+			for i := range p.entries {
+				if f == fLeased {
+					b = binary.AppendUvarint(b, deadlineMillis(p.deadlines[i]))
+				}
+				b = appendBinEntry(b, &p.entries[i])
+			}
+		case fChanges, fLeasedChanges:
+			b = binary.AppendUvarint(b, uint64(len(p.changes)))
+			for i := range p.changes {
+				c := &p.changes[i]
+				b = binary.AppendUvarint(b, c.Seq)
+				b = append(b, changeOpWAL(c.Op))
+				if f == fLeasedChanges {
+					b = binary.AppendUvarint(b, deadlineMillis(c.Expires))
+				}
+				b = appendBinEntry(b, &c.Entry)
+			}
+		case fSeq:
+			b = binary.AppendUvarint(b, p.seq)
+		case fResync:
+			if p.resync {
+				b = append(b, 1)
+			} else {
+				b = append(b, 0)
+			}
+		case fEpoch:
+			b = binary.AppendUvarint(b, p.epoch)
+		case fLeader:
+			b = appendWALString(b, p.leader)
+		case fRole:
+			b = appendWALString(b, p.role)
+		case fReplicaOf:
+			b = appendWALString(b, p.replicaOf)
+		}
 	}
 	return b
 }
 
-func encodeBinEntries(seq uint64, entries []Entry) []byte {
-	b := []byte{binUDDIVersion, binUDDIEntries}
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for i := range entries {
-		b = appendBinEntry(b, &entries[i])
+// decodeBinReply decodes a binary reply of shape sh; an error record
+// becomes its typed error.
+func decodeBinReply(sh binShape, data []byte) (reply, error) {
+	var p reply
+	code, r, err := binReaderFor(data)
+	if err != nil {
+		return p, err
 	}
-	return b
+	if code == binUDDIError {
+		errCode, info := r.str(), r.str()
+		if r.err != nil {
+			return p, r.err
+		}
+		return p, binErrorOf(errCode, info)
+	}
+	if code != sh.code {
+		return p, fmt.Errorf("uddi: binary response record %q, want %q", code, sh.code)
+	}
+	for _, f := range sh.fields {
+		switch f {
+		case fKeys:
+			n := r.count()
+			for i := 0; i < n && r.err == nil; i++ {
+				p.keys = append(p.keys, r.str())
+			}
+		case fEntries, fLeased:
+			n := r.count()
+			for i := 0; i < n && r.err == nil; i++ {
+				if f == fLeased {
+					p.deadlines = append(p.deadlines, time.UnixMilli(int64(r.uvarint())))
+				}
+				p.entries = append(p.entries, decodeBinEntry(r))
+			}
+		case fChanges, fLeasedChanges:
+			n := r.count()
+			for i := 0; i < n && r.err == nil; i++ {
+				c := Change{Seq: r.uvarint(), Op: walOpChange(r.byte())}
+				if f == fLeasedChanges {
+					if ms := r.uvarint(); ms != 0 {
+						c.Expires = time.UnixMilli(int64(ms))
+					}
+				}
+				c.Entry = decodeBinEntry(r)
+				p.changes = append(p.changes, c)
+			}
+		case fSeq:
+			p.seq = r.uvarint()
+		case fResync:
+			p.resync = r.byte() != 0
+		case fEpoch:
+			p.epoch = r.uvarint()
+		case fLeader:
+			p.leader = r.str()
+		case fRole:
+			p.role = r.str()
+		case fReplicaOf:
+			p.replicaOf = r.str()
+		}
+	}
+	if r.err != nil {
+		return reply{}, r.err
+	}
+	return p, nil
 }
 
-func encodeBinChanges(changes []Change, next, epoch uint64, resync bool) []byte {
-	b := []byte{binUDDIVersion, binUDDIChanges}
-	b = binary.AppendUvarint(b, next)
-	if resync {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.AppendUvarint(b, epoch)
-	b = binary.AppendUvarint(b, uint64(len(changes)))
-	for i := range changes {
-		c := &changes[i]
-		b = binary.AppendUvarint(b, c.Seq)
-		b = append(b, changeOpWAL(c.Op))
-		b = appendBinEntry(b, &c.Entry)
-	}
-	return b
-}
-
-func encodeBinError(code, info string) []byte {
+// binError renders a refusal as an error record.
+func binError(ref *refusal) *transport.BinResponse {
 	b := []byte{binUDDIVersion, binUDDIError}
-	b = appendWALString(b, code)
-	return appendWALString(b, info)
+	b = appendWALString(b, ref.code)
+	return &transport.BinResponse{Status: ref.status, ContentType: BinContentType,
+		Body: appendWALString(b, ref.info)}
 }
 
-func encodeBinReplState(st ReplState) []byte {
-	b := []byte{binUDDIVersion, binUDDIReplState}
-	b = binary.AppendUvarint(b, st.Seq)
-	b = binary.AppendUvarint(b, st.Epoch)
-	b = appendWALString(b, st.Leader)
-	b = binary.AppendUvarint(b, uint64(len(st.Entries)))
-	for i := range st.Entries {
-		var expMS uint64
-		if !st.Deadlines[i].IsZero() {
-			expMS = uint64(st.Deadlines[i].UnixMilli())
-		}
-		b = binary.AppendUvarint(b, expMS)
-		b = appendBinEntry(b, &st.Entries[i])
-	}
-	return b
-}
-
-func encodeBinReplChanges(rc ReplChanges) []byte {
-	b := []byte{binUDDIVersion, binUDDIReplChange}
-	b = binary.AppendUvarint(b, rc.Next)
-	if rc.Resync {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.AppendUvarint(b, rc.Epoch)
-	b = appendWALString(b, rc.Leader)
-	b = binary.AppendUvarint(b, uint64(len(rc.Changes)))
-	for i := range rc.Changes {
-		c := &rc.Changes[i]
-		b = binary.AppendUvarint(b, c.Seq)
-		b = append(b, changeOpWAL(c.Op))
-		var expMS uint64
-		if !c.Expires.IsZero() {
-			expMS = uint64(c.Expires.UnixMilli())
-		}
-		b = binary.AppendUvarint(b, expMS)
-		b = appendBinEntry(b, &c.Entry)
-	}
-	return b
-}
-
-func encodeBinReplStatus(st ReplStatus) []byte {
-	b := []byte{binUDDIVersion, binUDDIReplStatusR}
-	b = binary.AppendUvarint(b, st.Seq)
-	b = binary.AppendUvarint(b, st.Epoch)
-	b = appendWALString(b, st.Leader)
-	b = appendWALString(b, st.Role)
-	b = appendWALString(b, st.ReplicaOf)
-	return b
-}
-
-// --- response decoding (client side) ------------------------------------
-
-// binErrorOf maps a decoded registry refusal to a typed error. It is the
-// single mapping both wires use: roundTrip feeds it dispositionReport
-// code/info, the binary path feeds it a decoded error record.
+// binErrorOf maps a registry refusal to a typed error. It is the single
+// mapping both wires use: the XML client feeds it dispositionReport
+// code/info, the binary client a decoded error record.
 func binErrorOf(code, info string) error {
+	msg := fmt.Sprintf("uddi: %s: %s", code, info)
 	switch code {
 	case "E_authTokenRequired":
-		return &authError{msg: fmt.Sprintf("uddi: %s: %s", code, info), kind: service.ErrUnauthenticated}
+		return &authError{msg: msg, kind: service.ErrUnauthenticated}
 	case "E_userMismatch":
-		return &authError{msg: fmt.Sprintf("uddi: %s: %s", code, info), kind: service.ErrForbidden}
+		return &authError{msg: msg, kind: service.ErrForbidden}
 	case "E_notLeader":
-		return &notLeaderError{msg: fmt.Sprintf("uddi: %s: %s", code, info), leader: leaderHintIn(info)}
+		return &notLeaderError{msg: msg, leader: leaderHintIn(info)}
 	case "E_staleEpoch":
-		return fmt.Errorf("uddi: %s: %s: %w", code, info, ErrStaleEpoch)
+		return fmt.Errorf("%s: %w", msg, ErrStaleEpoch)
 	}
-	return fmt.Errorf("uddi: %s: %s", code, info)
+	return fmt.Errorf("%s", msg)
 }
 
-// decodeBinReply validates a binary response, handles the error record,
-// and returns a reader positioned at the payload of the expected record.
-func decodeBinReply(data []byte, want byte) (*walReader, error) {
-	op, r, err := binReaderFor(data)
-	if err != nil {
-		return nil, err
-	}
-	if op == binUDDIError {
-		code := r.str()
-		info := r.str()
-		if r.err != nil {
-			return nil, r.err
-		}
-		return nil, binErrorOf(code, info)
-	}
-	if op != want {
-		return nil, fmt.Errorf("uddi: binary response record %q, want %q", op, want)
-	}
-	return r, nil
+// authError is a registry auth refusal: the server's message verbatim,
+// unwrapping to the matching service sentinel for errors.Is.
+type authError struct {
+	msg  string
+	kind error
 }
 
-func decodeBinKeys(data []byte) ([]string, error) {
-	r, err := decodeBinReply(data, binUDDIKeys)
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n > maxWALFrame {
-		return nil, fmt.Errorf("uddi: key count out of range")
-	}
-	keys := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		keys = append(keys, r.str())
-	}
-	return keys, r.err
-}
+func (e *authError) Error() string { return e.msg }
 
-func decodeBinEntries(data []byte) ([]Entry, uint64, error) {
-	r, err := decodeBinReply(data, binUDDIEntries)
-	if err != nil {
-		return nil, 0, err
-	}
-	seq := r.uvarint()
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if n > maxWALFrame {
-		return nil, 0, fmt.Errorf("uddi: entry count out of range")
-	}
-	var entries []Entry
-	for i := 0; i < n; i++ {
-		entries = append(entries, decodeBinEntry(r))
-	}
-	return entries, seq, r.err
-}
-
-func decodeBinReplStatus(data []byte) (ReplStatus, error) {
-	r, err := decodeBinReply(data, binUDDIReplStatusR)
-	if err != nil {
-		return ReplStatus{}, err
-	}
-	var st ReplStatus
-	st.Seq = r.uvarint()
-	st.Epoch = r.uvarint()
-	st.Leader = r.str()
-	st.Role = r.str()
-	st.ReplicaOf = r.str()
-	return st, r.err
-}
-
-func decodeBinReplState(data []byte) (ReplState, error) {
-	r, err := decodeBinReply(data, binUDDIReplState)
-	if err != nil {
-		return ReplState{}, err
-	}
-	var st ReplState
-	st.Seq = r.uvarint()
-	st.Epoch = r.uvarint()
-	st.Leader = r.str()
-	n := int(r.uvarint())
-	if r.err != nil {
-		return ReplState{}, r.err
-	}
-	if n > maxWALFrame {
-		return ReplState{}, fmt.Errorf("uddi: state entry count out of range")
-	}
-	for i := 0; i < n; i++ {
-		expMS := r.uvarint()
-		e := decodeBinEntry(r)
-		if r.err != nil {
-			return ReplState{}, r.err
-		}
-		st.Entries = append(st.Entries, e)
-		st.Deadlines = append(st.Deadlines, time.UnixMilli(int64(expMS)))
-	}
-	return st, nil
-}
-
-func decodeBinReplChanges(data []byte) (ReplChanges, error) {
-	r, err := decodeBinReply(data, binUDDIReplChange)
-	if err != nil {
-		return ReplChanges{}, err
-	}
-	var rc ReplChanges
-	rc.Next = r.uvarint()
-	if r.err == nil {
-		if r.off >= len(r.b) {
-			r.err = fmt.Errorf("uddi: truncated repl change list")
-		} else {
-			rc.Resync = r.b[r.off] != 0
-			r.off++
-		}
-	}
-	rc.Epoch = r.uvarint()
-	rc.Leader = r.str()
-	n := int(r.uvarint())
-	if r.err != nil {
-		return ReplChanges{}, r.err
-	}
-	if n > maxWALFrame {
-		return ReplChanges{}, fmt.Errorf("uddi: repl change count out of range")
-	}
-	for i := 0; i < n; i++ {
-		seq := r.uvarint()
-		if r.err != nil || r.off >= len(r.b) {
-			return ReplChanges{}, fmt.Errorf("uddi: truncated repl change record")
-		}
-		op := walOpChange(r.b[r.off])
-		r.off++
-		expMS := r.uvarint()
-		e := decodeBinEntry(r)
-		if r.err != nil {
-			return ReplChanges{}, r.err
-		}
-		c := Change{Seq: seq, Op: op, Entry: e}
-		if expMS != 0 {
-			c.Expires = time.UnixMilli(int64(expMS))
-		}
-		rc.Changes = append(rc.Changes, c)
-	}
-	return rc, nil
-}
-
-func decodeBinChanges(data []byte) (changes []Change, next, epoch uint64, resync bool, err error) {
-	r, err := decodeBinReply(data, binUDDIChanges)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	next = r.uvarint()
-	if r.err == nil {
-		if r.off >= len(r.b) {
-			r.err = fmt.Errorf("uddi: truncated change list")
-		} else {
-			resync = r.b[r.off] != 0
-			r.off++
-		}
-	}
-	epoch = r.uvarint()
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil, 0, 0, false, r.err
-	}
-	if n > maxWALFrame {
-		return nil, 0, 0, false, fmt.Errorf("uddi: change count out of range")
-	}
-	for i := 0; i < n; i++ {
-		seq := r.uvarint()
-		if r.err != nil || r.off >= len(r.b) {
-			return nil, 0, 0, false, fmt.Errorf("uddi: truncated change record")
-		}
-		op := walOpChange(r.b[r.off])
-		r.off++
-		e := decodeBinEntry(r)
-		if r.err != nil {
-			return nil, 0, 0, false, r.err
-		}
-		changes = append(changes, Change{Seq: seq, Op: op, Entry: e})
-	}
-	return changes, next, epoch, resync, nil
-}
-
-// --- server face ---------------------------------------------------------
-
-// BinOptions configures a registry's binary-native face.
-type BinOptions struct {
-	// OwnHome, when non-empty, makes the face private to that home —
-	// the binary twin of the identity middleware's ownOnly policy on
-	// /uddi. Foreign callers get E_userMismatch, decoding to
-	// service.ErrForbidden exactly like the HTTP face's refusal.
-	OwnHome string
-	// ReadOnly restricts the face to the inquiry operations, as the
-	// /peer XML face is: publication records get E_operatorMismatch.
-	ReadOnly bool
-	// ViewFor, when set, chooses the caller's entry view (export policy
-	// on a peering face). ok=false refuses service entirely — the face
-	// exists but is not mounted yet.
-	ViewFor func(caller string) (View, bool)
-	// Fallback serves anything that is not a binary-native record —
-	// normally identity.BinFace wrapping the XML HTTP handler, keeping
-	// tunneled XML working on the same path.
-	Fallback transport.BinHandler
-}
-
-// binError renders a protocol-level refusal in the binary encoding with
-// the HTTP status its XML twin would carry.
-func binError(status int, code, info string) *transport.BinResponse {
-	return &transport.BinResponse{Status: status, ContentType: BinContentType,
-		Body: encodeBinError(code, info)}
-}
-
-// BinHandler returns the registry's binary-native face: UDDI operations
-// as compact WAL-style records, dispatched straight onto the store with
-// no XML in between. Requests with any other content type go to
-// opts.Fallback untouched, so one path serves both encodings.
-func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
-	return transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
-		if req.ContentType != BinContentType {
-			if opts.Fallback != nil {
-				return opts.Fallback.ServeBin(ctx, caller, req)
-			}
-			return binError(http.StatusUnsupportedMediaType, "E_unsupported", "binary registry face: unknown content type "+req.ContentType)
-		}
-		if opts.OwnHome != "" && caller != opts.OwnHome {
-			return binError(http.StatusForbidden, "E_userMismatch",
-				"identity: this face is private to home "+opts.OwnHome+": "+service.ErrForbidden.Error())
-		}
-		var view View
-		if opts.ViewFor != nil {
-			v, ok := opts.ViewFor(caller)
-			if !ok {
-				return binError(http.StatusNotFound, "E_unsupported", "peering not enabled on this repository")
-			}
-			view = v
-		}
-		op, r, err := binReaderFor(req.Body)
-		if err != nil {
-			return binError(http.StatusBadRequest, "E_fatalError", err.Error())
-		}
-		if op == binUDDISaveAll || op == binUDDIDelete {
-			if opts.ReadOnly {
-				return binError(http.StatusForbidden, "E_operatorMismatch", "read-only endpoint")
-			}
-			if rs := s.replica.Load(); rs != nil {
-				return binError(http.StatusMisdirectedRequest, "E_notLeader", notLeaderInfo(rs.leader))
-			}
-		}
-		if op == binUDDIReplSync || op == binUDDIReplWatch || op == binUDDIReplStatus {
-			// The replication records serve full entries with their lease
-			// deadlines; they belong to the private face only, never behind
-			// a peer view or a read-only mount.
-			if opts.ReadOnly || opts.ViewFor != nil {
-				return binError(http.StatusForbidden, "E_unsupported",
-					"replication is private to the repository face")
-			}
-		}
-		switch op {
-		case binUDDISaveAll:
-			ttl := time.Duration(r.uvarint()) * time.Millisecond
-			n := int(r.uvarint())
-			if r.err != nil || n <= 0 || n > maxWALFrame {
-				return binError(http.StatusBadRequest, "E_fatalError", "bad save record")
-			}
-			entries := make([]Entry, 0, n)
-			for i := 0; i < n; i++ {
-				entries = append(entries, decodeBinEntry(r))
-			}
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			keys := s.SaveAll(entries, ttl)
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinKeys(keys)}
-		case binUDDIDelete:
-			key := r.str()
-			if r.err != nil || key == "" {
-				return binError(http.StatusBadRequest, "E_invalidKeyPassed", "delete without serviceKey")
-			}
-			s.Delete(key)
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinKeys(nil)}
-		case binUDDIFind:
-			q := Query{Name: r.str(), TModel: r.str()}
-			n := int(r.uvarint())
-			if r.err != nil || n > maxWALFrame {
-				return binError(http.StatusBadRequest, "E_fatalError", "bad find record")
-			}
-			if n > 0 {
-				q.Categories = make(map[string]string, n)
-				for i := 0; i < n; i++ {
-					k := r.str()
-					q.Categories[k] = r.str()
-				}
-			}
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			// Journal position read before the scan, as in handleFind: the
-			// fence clients use against concurrent mutations.
-			seq := s.Seq()
-			entries := s.Find(q)
-			if view != nil {
-				kept := entries[:0]
-				for _, e := range entries {
-					if ve, ok := view(e); ok {
-						kept = append(kept, ve)
-					}
-				}
-				entries = kept
-			}
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinEntries(seq, entries)}
-		case binUDDIGet:
-			key := r.str()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			entry, ok := s.Get(key)
-			if ok && view != nil {
-				entry, ok = view(entry)
-			}
-			var entries []Entry
-			if ok {
-				entries = append(entries, entry)
-			}
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinEntries(0, entries)}
-		case binUDDIWatch:
-			since := r.uvarint()
-			timeout := time.Duration(r.uvarint()) * time.Millisecond
-			sinceEpoch := r.uvarint()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			if timeout > maxWatchTimeout {
-				timeout = maxWatchTimeout
-			}
-			changes, next, nextEpoch, resync, err := s.WatchChangesEpoch(ctx, since, sinceEpoch, timeout, false)
-			if err != nil {
-				// Client went away mid-poll; nothing useful to write.
-				return binError(http.StatusRequestTimeout, "E_fatalError", err.Error())
-			}
-			if view != nil {
-				// A filtered-to-empty round reads as an empty poll, exactly
-				// like the XML face: the cursor advances past hidden changes.
-				kept := changes[:0]
-				for _, c := range changes {
-					ve, ok := view(c.Entry)
-					if !ok {
-						continue
-					}
-					c.Entry = ve
-					kept = append(kept, c)
-				}
-				changes = kept
-			}
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinChanges(changes, next, nextEpoch, resync)}
-		case binUDDIReplStatus:
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinReplStatus(s.replStatusNow())}
-		case binUDDIReplSync:
-			entries, deadlines, seq, epoch, leader := s.ReplState()
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinReplState(ReplState{Seq: seq, Epoch: epoch, Leader: leader,
-					Entries: entries, Deadlines: deadlines})}
-		case binUDDIReplWatch:
-			since := r.uvarint()
-			timeout := time.Duration(r.uvarint()) * time.Millisecond
-			reqEpoch := r.uvarint()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			if info, ok := s.replWatchFence(reqEpoch); !ok {
-				return binError(http.StatusConflict, "E_staleEpoch", info)
-			}
-			if timeout > maxWatchTimeout {
-				timeout = maxWatchTimeout
-			}
-			changes, next, _, resync, err := s.WatchChangesEpoch(ctx, since, reqEpoch, timeout, true)
-			if err != nil {
-				return binError(http.StatusRequestTimeout, "E_fatalError", err.Error())
-			}
-			epoch, leader := s.Epoch()
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinReplChanges(ReplChanges{Changes: changes, Next: next,
-					Resync: resync, Epoch: epoch, Leader: leader})}
-		}
-		return binError(http.StatusBadRequest, "E_unsupported", fmt.Sprintf("unknown binary request %q", op))
-	})
-}
+func (e *authError) Unwrap() error { return e.kind }

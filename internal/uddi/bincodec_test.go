@@ -1,18 +1,14 @@
-// Tests for the binary-native registry protocol: entry/record round
-// trips over XML-hostile strings, the server face's dispatch and policy
-// (private face, read-only face, per-caller views), error-code parity
-// with the dispositionReport mapping, and rejection of malformed
-// records.
+// Tests for the binuddi records: entry round trips over XML-hostile
+// strings and rejection of malformed records. The helpers below build
+// and read single records through the op table, for tests that drive a
+// binary face directly.
 package uddi
 
 import (
 	"context"
-	"errors"
-	"strings"
 	"testing"
 	"time"
 
-	"homeconnect/internal/service"
 	"homeconnect/internal/transport"
 )
 
@@ -40,6 +36,68 @@ func entriesEqual(a, b Entry) bool {
 	return true
 }
 
+// binServe runs one native record through a registry's binary face.
+func binServe(s *Server, f Face, caller string, req []byte) *transport.BinResponse {
+	return s.BinHandler(f).ServeBin(context.Background(), caller,
+		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: req})
+}
+
+func encodeBinSaveAll(entries []Entry, ttl time.Duration) []byte {
+	return encodeBinRequest(&request{op: opSaveAll, entries: entries, ttl: ttl})
+}
+
+func encodeBinFind(q Query) []byte { return encodeBinRequest(&request{op: opFind, query: q}) }
+
+func encodeBinWatch(since, sinceEpoch uint64, timeout time.Duration) []byte {
+	return encodeBinRequest(&request{op: opWatch, since: since, epoch: sinceEpoch, timeout: timeout})
+}
+
+func encodeBinReplSyncReq() []byte { return encodeBinRequest(&request{op: opReplSync}) }
+
+func encodeBinReplWatchReq(since, epoch uint64, timeout time.Duration) []byte {
+	return encodeBinRequest(&request{op: opReplWatch, since: since, epoch: epoch, timeout: timeout})
+}
+
+func decodeBinKeys(data []byte) ([]string, error) {
+	p, err := decodeBinReply(binKeys, data)
+	if err != nil {
+		return nil, err
+	}
+	return p.keys, nil
+}
+
+func decodeBinEntries(data []byte) ([]Entry, uint64, error) {
+	p, err := decodeBinReply(binEntries, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p.entries, p.seq, nil
+}
+
+func decodeBinChanges(data []byte) (changes []Change, next, epoch uint64, resync bool, err error) {
+	p, err := decodeBinReply(binChanges, data)
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	return p.changes, p.seq, p.epoch, p.resync, nil
+}
+
+func decodeBinReplChanges(data []byte) (ReplChanges, error) {
+	p, err := decodeBinReply(binReplChanges, data)
+	if err != nil {
+		return ReplChanges{}, err
+	}
+	return ReplChanges{Changes: p.changes, Next: p.seq, Resync: p.resync, Epoch: p.epoch, Leader: p.leader}, nil
+}
+
+func decodeBinReplState(data []byte) (ReplState, error) {
+	p, err := decodeBinReply(binReplState, data)
+	if err != nil {
+		return ReplState{}, err
+	}
+	return ReplState{Seq: p.seq, Epoch: p.epoch, Leader: p.leader, Entries: p.entries, Deadlines: p.deadlines}, nil
+}
+
 func TestBinEntryRoundTrip(t *testing.T) {
 	for _, want := range []Entry{{}, {Key: "k", Name: "n"}, hostileEntry} {
 		b := appendBinEntry(nil, &want)
@@ -57,142 +115,6 @@ func TestBinEntryRoundTrip(t *testing.T) {
 	}
 }
 
-// binServe runs one native record through a registry's binary face.
-func binServe(s *Server, opts BinOptions, caller string, req []byte) *transport.BinResponse {
-	return s.BinHandler(opts).ServeBin(context.Background(), caller,
-		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: req})
-}
-
-func TestBinHandlerSaveFindGetDeleteWatch(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	var opts BinOptions
-
-	resp := binServe(s, opts, "home-a", encodeBinSaveAll([]Entry{hostileEntry}, time.Hour))
-	keys, err := decodeBinKeys(resp.Body)
-	if err != nil || len(keys) != 1 || keys[0] != hostileEntry.Key {
-		t.Fatalf("save: keys=%v err=%v", keys, err)
-	}
-
-	resp = binServe(s, opts, "home-a", encodeBinFind(Query{Name: "%"}))
-	entries, seq, err := decodeBinEntries(resp.Body)
-	if err != nil || len(entries) != 1 || seq == 0 {
-		t.Fatalf("find: entries=%d seq=%d err=%v", len(entries), seq, err)
-	}
-	if !entriesEqual(entries[0], hostileEntry) {
-		t.Fatalf("find returned %+v, want the hostile entry intact", entries[0])
-	}
-
-	resp = binServe(s, opts, "home-a", encodeBinGet(hostileEntry.Key))
-	entries, _, err = decodeBinEntries(resp.Body)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("get: entries=%d err=%v", len(entries), err)
-	}
-
-	resp = binServe(s, opts, "home-a", encodeBinWatch(0, 0, 0))
-	changes, next, _, resync, err := decodeBinChanges(resp.Body)
-	if err != nil || resync || len(changes) != 1 || next != seq {
-		t.Fatalf("watch: changes=%d next=%d resync=%v err=%v", len(changes), next, resync, err)
-	}
-	if changes[0].Op != OpAdd || !entriesEqual(changes[0].Entry, hostileEntry) {
-		t.Fatalf("watch change = %+v", changes[0])
-	}
-
-	resp = binServe(s, opts, "home-a", encodeBinDelete(hostileEntry.Key))
-	if _, err := decodeBinKeys(resp.Body); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	resp = binServe(s, opts, "home-a", encodeBinGet(hostileEntry.Key))
-	if entries, _, _ := decodeBinEntries(resp.Body); len(entries) != 0 {
-		t.Fatal("entry survived delete")
-	}
-}
-
-// TestBinHandlerErrorParity holds the binary face to the XML face's
-// refusal mapping: the same typed sentinels out of the same conditions.
-func TestBinHandlerErrorParity(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-
-	// Private face, foreign caller → E_userMismatch → ErrForbidden.
-	resp := binServe(s, BinOptions{OwnHome: "home-a"}, "home-b", encodeBinFind(Query{}))
-	if _, err := decodeBinKeys(resp.Body); !errors.Is(err, service.ErrForbidden) {
-		t.Fatalf("foreign caller on private face = %v, want ErrForbidden", err)
-	}
-
-	// Read-only face refuses publication.
-	resp = binServe(s, BinOptions{ReadOnly: true}, "home-b", encodeBinSaveAll([]Entry{{Name: "x"}}, 0))
-	if _, err := decodeBinKeys(resp.Body); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("save on read-only face = %v, want refusal", err)
-	}
-
-	// Unmounted peering view refuses service.
-	opts := BinOptions{ViewFor: func(string) (View, bool) { return nil, false }}
-	resp = binServe(s, opts, "home-b", encodeBinFind(Query{}))
-	if _, err := decodeBinKeys(resp.Body); err == nil || !strings.Contains(err.Error(), "peering not enabled") {
-		t.Fatalf("unmounted view = %v, want refusal", err)
-	}
-
-	// The authentication code the session layer would emit maps to
-	// ErrUnauthenticated, mirroring roundTrip's dispositionReport switch.
-	if err := binErrorOf("E_authTokenRequired", "x"); !errors.Is(err, service.ErrUnauthenticated) {
-		t.Fatalf("E_authTokenRequired = %v, want ErrUnauthenticated", err)
-	}
-}
-
-func TestBinHandlerViewFilters(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	s.Save(Entry{Key: "uuid:public", Name: "public"}, time.Hour)
-	s.Save(Entry{Key: "uuid:secret", Name: "secret"}, time.Hour)
-	opts := BinOptions{ViewFor: func(caller string) (View, bool) {
-		return func(e Entry) (Entry, bool) {
-			if e.Name == "secret" {
-				return Entry{}, false
-			}
-			e.Name = caller + "/" + e.Name
-			return e, true
-		}, true
-	}}
-
-	resp := binServe(s, opts, "home-b", encodeBinFind(Query{Name: "%"}))
-	entries, _, err := decodeBinEntries(resp.Body)
-	if err != nil || len(entries) != 1 || entries[0].Name != "home-b/public" {
-		t.Fatalf("filtered find = %+v, err=%v", entries, err)
-	}
-
-	resp = binServe(s, opts, "home-b", encodeBinWatch(0, 0, 0))
-	changes, next, _, _, err := decodeBinChanges(resp.Body)
-	if err != nil || len(changes) != 1 || changes[0].Entry.Name != "home-b/public" {
-		t.Fatalf("filtered watch = %+v, err=%v", changes, err)
-	}
-	// The cursor still advances past the hidden change.
-	if next != s.Seq() {
-		t.Fatalf("cursor %d, want %d", next, s.Seq())
-	}
-
-	resp = binServe(s, opts, "home-b", encodeBinGet("uuid:secret"))
-	if entries, _, _ := decodeBinEntries(resp.Body); len(entries) != 0 {
-		t.Fatal("hidden entry served through get")
-	}
-}
-
-func TestBinHandlerFallsBackOnOtherContent(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	called := false
-	fallback := transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
-		called = true
-		return &transport.BinResponse{Status: 200, ContentType: "text/xml", Body: []byte("<ok/>")}
-	})
-	h := s.BinHandler(BinOptions{Fallback: fallback})
-	resp := h.ServeBin(context.Background(), "home-a",
-		&transport.BinRequest{Path: "/uddi", ContentType: `text/xml; charset="utf-8"`, Body: []byte("<find_service/>")})
-	if !called || resp.Status != 200 {
-		t.Fatalf("tunneled XML did not reach the fallback (called=%v status=%d)", called, resp.Status)
-	}
-}
-
 func TestBinCodecRejectsMalformed(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
@@ -204,9 +126,12 @@ func TestBinCodecRejectsMalformed(t *testing.T) {
 			0x80, 0x01, 0x05),
 		"absurd count": append([]byte{binUDDIVersion, binUDDISaveAll, 0},
 			0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
+		"empty save":   {binUDDIVersion, binUDDISaveAll, 0, 0},
+		"absurd ttl":   append([]byte{binUDDIVersion, binUDDISaveAll}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0),
+		"keyless drop": {binUDDIVersion, binUDDIDelete, 0},
 	}
 	for name, req := range bad {
-		resp := binServe(s, BinOptions{}, "home-a", req)
+		resp := binServe(s, Face{}, "home-a", req)
 		if resp.Status == 200 {
 			t.Errorf("%s accepted", name)
 		}

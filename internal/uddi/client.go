@@ -7,19 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"homeconnect/internal/transport"
 	"homeconnect/internal/xmltree"
 )
 
-// Client talks to a registry server over HTTP — or, when a Dialer is
-// set and the server's authority has negotiated it, over the binary
-// fast path, with the identical UDDI document tunneled in a binary
-// frame instead of an HTTP POST.
+// Client talks to a registry server. With a Dialer whose binary lane to
+// the server's authority is negotiated, each operation rides its binuddi
+// record; otherwise it is the XML document over HTTP.
 type Client struct {
 	// HTTP is the underlying client; the Dialer's HTTP side when a
 	// Dialer is set, else the shared keep-alive transport.
@@ -53,187 +49,90 @@ func (c *Client) httpClient() *http.Client {
 	return transport.Client()
 }
 
-// roundTrip POSTs doc and returns the parsed response root. With a
-// Dialer, the binary fast path is tried first; because the whole
-// request — watch cursors included — is the document body, a downgrade
-// to SOAP/HTTP simply re-sends the same bytes and loses nothing. With a
-// Resolver, failover-worthy errors (endpoint down, ErrNotLeader) move
-// to the next endpoint before surfacing.
-func (c *Client) roundTrip(ctx context.Context, doc []byte) (*xmltree.Element, error) {
+// call runs one operation and returns its reply. With a Resolver,
+// failover-worthy errors (endpoint down, ErrNotLeader) move to the next
+// endpoint before surfacing.
+func (c *Client) call(ctx context.Context, q *request) (reply, error) {
 	attempts := 1
 	if c.Resolver != nil {
 		// One extra attempt over the set size, so a not-leader redirect to
 		// a pinned leader still has a try left after a full rotation.
 		attempts = c.Resolver.Len() + 1
 	}
-	var root *xmltree.Element
+	var p reply
 	var err error
 	for i := 0; i < attempts; i++ {
 		url := c.endpoint()
-		root, err = c.roundTripAt(ctx, url, doc)
+		p, err = c.callAt(ctx, url, q)
 		if err == nil || c.Resolver == nil || ctx.Err() != nil || !FailoverWorthy(err) {
-			return root, err
+			return p, err
 		}
 		if h := LeaderHint(err); h != "" && c.Resolver.Pin(h) {
 			continue
 		}
 		c.Resolver.Fail(url)
 	}
-	return root, err
+	return p, err
 }
 
-// roundTripAt is one roundTrip attempt against one endpoint.
-func (c *Client) roundTripAt(ctx context.Context, url string, doc []byte) (*xmltree.Element, error) {
-	var data []byte
-	var status int
-	var statusText string
+// callAt is one call attempt against one endpoint: the binuddi record
+// when the binary lane is up, else the XML document over HTTP. Because
+// the request carries all its state (watch cursors included), the
+// fallback re-sends the same operation and loses nothing. A registry
+// refusal never downgrades: a locked door answers the same on every wire.
+func (c *Client) callAt(ctx context.Context, url string, q *request) (reply, error) {
 	if c.Dialer != nil {
-		res, err := c.Dialer.Exchange(ctx, url, `text/xml; charset="utf-8"`, "", doc)
+		res, err := c.Dialer.Exchange(ctx, url, BinContentType, "", encodeBinRequest(q))
 		switch {
-		case err == nil:
-			data, status = res.Body, res.Status
-			statusText = fmt.Sprintf("%d %s", status, http.StatusText(status))
-			if len(data) > maxRequestBytes {
-				data = data[:maxRequestBytes]
-			}
-		case errors.Is(err, transport.ErrBinaryUnavailable):
-			// fall through to HTTP
-		default:
-			return nil, fmt.Errorf("uddi: %w", &endpointDownError{err})
+		case err == nil && len(res.Body) > 0 && res.Body[0] == binUDDIVersion:
+			return decodeBinReply(q.op.binReply, res.Body)
+		case err != nil && !errors.Is(err, transport.ErrBinaryUnavailable):
+			return reply{}, fmt.Errorf("uddi: %w", &endpointDownError{err})
 		}
+		// Not negotiated, or a registry that predates the native records
+		// answered: send the document instead.
 	}
-	if data == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(doc))
-		if err != nil {
-			return nil, fmt.Errorf("uddi: build request: %w", err)
-		}
-		req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: %w", &endpointDownError{err})
-		}
-		defer resp.Body.Close()
-		data, err = io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-		if err != nil {
-			return nil, fmt.Errorf("uddi: read response: %w", err)
-		}
-		status, statusText = resp.StatusCode, resp.Status
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(encodeXMLRequest(q)))
+	if err != nil {
+		return reply{}, fmt.Errorf("uddi: build request: %w", err)
+	}
+	req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return reply{}, fmt.Errorf("uddi: %w", &endpointDownError{err})
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
+	if err != nil {
+		return reply{}, fmt.Errorf("uddi: read response: %w", err)
 	}
 	root, err := xmltree.Parse(data)
 	if err != nil {
-		return nil, fmt.Errorf("uddi: parse response: %w", err)
+		return reply{}, fmt.Errorf("uddi: parse response: %w", err)
 	}
 	if root.Name.Local == "dispositionReport" && root.Attr("result") == "error" {
 		// Refusals surface as typed sentinels — auth errors so callers can
 		// tell a locked door from a broken one, replication errors so the
-		// failover loop can tell a replica from a dead endpoint. The same
-		// mapping serves the binary path (binErrorOf).
-		return nil, binErrorOf(root.ChildText("errCode"), root.ChildText("errInfo"))
+		// failover loop can tell a replica from a dead endpoint.
+		return reply{}, binErrorOf(root.ChildText("errCode"), root.ChildText("errInfo"))
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("uddi: http status %s", statusText)
+	if resp.StatusCode != http.StatusOK {
+		return reply{}, fmt.Errorf("uddi: http status %s", resp.Status)
 	}
-	return root, nil
+	return decodeXMLReply(q.op.xmlReply, root)
 }
-
-// binExchange sends a binary-native registry record over the fast path.
-// ok=false means the fast path is not available (no dialer, negotiation
-// refused, or a server that only speaks XML answered) and the caller
-// must re-send the operation as an XML document; err is a hard failure
-// — including a decoded registry refusal, which must NOT downgrade:
-// a locked door answers the same on every wire. Failover-worthy errors
-// rotate through the Resolver exactly as on the XML path.
-func (c *Client) binExchange(ctx context.Context, req []byte) (body []byte, ok bool, err error) {
-	if c.Dialer == nil {
-		return nil, false, nil
-	}
-	attempts := 1
-	if c.Resolver != nil {
-		attempts = c.Resolver.Len() + 1
-	}
-	for i := 0; i < attempts; i++ {
-		url := c.endpoint()
-		body, ok, err = c.binExchangeAt(ctx, url, req)
-		if err == nil || c.Resolver == nil || ctx.Err() != nil || !FailoverWorthy(err) {
-			return body, ok, err
-		}
-		if h := LeaderHint(err); h != "" && c.Resolver.Pin(h) {
-			continue
-		}
-		c.Resolver.Fail(url)
-	}
-	return body, ok, err
-}
-
-// binExchangeAt is one binExchange attempt against one endpoint.
-func (c *Client) binExchangeAt(ctx context.Context, url string, req []byte) (body []byte, ok bool, err error) {
-	res, err := c.Dialer.Exchange(ctx, url, BinContentType, "", req)
-	if err != nil {
-		if errors.Is(err, transport.ErrBinaryUnavailable) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("uddi: %w", &endpointDownError{err})
-	}
-	if len(res.Body) > 0 && res.Body[0] == binUDDIVersion {
-		// Pre-decode redirect refusals here: by the time the caller decodes
-		// the record the endpoint choice is already spent, so a replica's
-		// E_notLeader must become an error now for the failover loop to act.
-		if len(res.Body) >= 2 && res.Body[1] == binUDDIError {
-			r := &walReader{b: res.Body, off: 2}
-			code, info := r.str(), r.str()
-			if r.err == nil && (code == "E_notLeader" || code == "E_staleEpoch") {
-				return nil, false, binErrorOf(code, info)
-			}
-		}
-		return res.Body, true, nil
-	}
-	// The frame went through but the answer is not a binary record: a
-	// registry that predates the native encoding tunneled it to its XML
-	// handler, which could not parse it. Re-send as XML.
-	return nil, false, nil
-}
-
-// authError is a registry auth refusal: the server's message verbatim,
-// unwrapping to the matching service sentinel for errors.Is.
-type authError struct {
-	msg  string
-	kind error
-}
-
-func (e *authError) Error() string { return e.msg }
-
-func (e *authError) Unwrap() error { return e.kind }
 
 // Save publishes the entry with the given TTL and returns the assigned
 // service key.
 func (c *Client) Save(ctx context.Context, e Entry, ttl time.Duration) (string, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinSaveAll([]Entry{e}, ttl)); err != nil {
-		return "", err
-	} else if ok {
-		keys, err := decodeBinKeys(body)
-		if err != nil {
-			return "", err
-		}
-		if len(keys) != 1 {
-			return "", fmt.Errorf("uddi: save_service returned %d keys", len(keys))
-		}
-		return keys[0], nil
-	}
-	w := xmltree.NewWriter()
-	w.Open("save_service")
-	entryToXML(w, e)
-	if ttl > 0 {
-		w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+	p, err := c.call(ctx, &request{op: opSave, entries: []Entry{e}, ttl: ttl})
 	if err != nil {
 		return "", err
 	}
-	key := root.ChildText("serviceKey")
-	if key == "" {
-		return "", fmt.Errorf("uddi: save_service response missing serviceKey")
+	if len(p.keys) != 1 {
+		return "", fmt.Errorf("uddi: save_service returned %d keys", len(p.keys))
 	}
-	return key, nil
+	return p.keys[0], nil
 }
 
 // SaveAll publishes every entry under one TTL in a single round trip and
@@ -243,38 +142,50 @@ func (c *Client) SaveAll(ctx context.Context, entries []Entry, ttl time.Duration
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	if body, ok, err := c.binExchange(ctx, encodeBinSaveAll(entries, ttl)); err != nil {
-		return nil, err
-	} else if ok {
-		keys, err := decodeBinKeys(body)
-		if err != nil {
-			return nil, err
-		}
-		if len(keys) != len(entries) {
-			return nil, fmt.Errorf("uddi: save_services returned %d keys for %d entries", len(keys), len(entries))
-		}
-		return keys, nil
-	}
-	w := xmltree.NewWriter()
-	w.Open("save_services")
-	if ttl > 0 {
-		w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
-	}
-	for _, e := range entries {
-		entryToXML(w, e)
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+	p, err := c.call(ctx, &request{op: opSaveAll, entries: entries, ttl: ttl})
 	if err != nil {
 		return nil, err
 	}
-	var keys []string
-	for _, el := range root.All("serviceKey") {
-		keys = append(keys, strings.TrimSpace(el.Text))
+	if len(p.keys) != len(entries) {
+		return nil, fmt.Errorf("uddi: save_services returned %d keys for %d entries", len(p.keys), len(entries))
 	}
-	if len(keys) != len(entries) {
-		return nil, fmt.Errorf("uddi: save_services returned %d keys for %d entries", len(keys), len(entries))
+	return p.keys, nil
+}
+
+// Delete removes the registration with the given key.
+func (c *Client) Delete(ctx context.Context, key string) error {
+	_, err := c.call(ctx, &request{op: opDelete, key: key})
+	return err
+}
+
+// Find runs an inquiry and returns matching entries sorted by name.
+func (c *Client) Find(ctx context.Context, q Query) ([]Entry, error) {
+	entries, _, err := c.FindSeq(ctx, q)
+	return entries, err
+}
+
+// FindSeq is Find plus the registry's journal sequence number observed at
+// read time. A cache filled from the result is current through that
+// sequence: if a watch later reports a change with a higher number for an
+// entry, the cached copy is stale; a concurrent change with a lower or
+// equal number was already reflected in the inquiry. Zero means the
+// registry gave no fence.
+func (c *Client) FindSeq(ctx context.Context, q Query) ([]Entry, uint64, error) {
+	p, err := c.call(ctx, &request{op: opFind, query: q})
+	if err != nil {
+		return nil, 0, err
 	}
-	return keys, nil
+	return p.entries, p.seq, nil
+}
+
+// Get fetches one entry by key; found is false for unknown or expired
+// keys.
+func (c *Client) Get(ctx context.Context, key string) (Entry, bool, error) {
+	p, err := c.call(ctx, &request{op: opGet, key: key})
+	if err != nil || len(p.entries) == 0 {
+		return Entry{}, false, err
+	}
+	return p.entries[0], true, nil
 }
 
 // Watch long-polls the registry's change journal: it blocks up to timeout
@@ -297,119 +208,38 @@ func (c *Client) Watch(ctx context.Context, since uint64, timeout time.Duration)
 // below its old cursor, because a lower next under a newer epoch is the
 // replay point, not a stale answer.
 func (c *Client) WatchEpoch(ctx context.Context, since, sinceEpoch uint64, timeout time.Duration) (changes []Change, next, nextEpoch uint64, resync bool, err error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinWatch(since, sinceEpoch, timeout)); err != nil {
-		return nil, 0, 0, false, err
-	} else if ok {
-		return decodeBinChanges(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("watch")
-	w.Leaf("since", strconv.FormatUint(since, 10))
-	if timeout > 0 {
-		w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
-	}
-	if sinceEpoch > 0 {
-		w.Leaf("epoch", strconv.FormatUint(sinceEpoch, 10))
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+	p, err := c.call(ctx, &request{op: opWatch, since: since, epoch: sinceEpoch, timeout: timeout})
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	return decodeChangeList(root)
+	return p.changes, p.seq, p.epoch, p.resync, nil
 }
 
-// Delete removes the registration with the given key.
-func (c *Client) Delete(ctx context.Context, key string) error {
-	if body, ok, err := c.binExchange(ctx, encodeBinDelete(key)); err != nil {
-		return err
-	} else if ok {
-		_, err := decodeBinKeys(body)
-		return err
-	}
-	w := xmltree.NewWriter()
-	w.Open("delete_service")
-	w.Leaf("serviceKey", key)
-	_, err := c.roundTrip(ctx, w.Bytes())
-	return err
-}
-
-// Find runs an inquiry and returns matching entries sorted by name.
-func (c *Client) Find(ctx context.Context, q Query) ([]Entry, error) {
-	entries, _, err := c.FindSeq(ctx, q)
-	return entries, err
-}
-
-// FindSeq is Find plus the registry's journal sequence number observed at
-// read time. A cache filled from the result is current through that
-// sequence: if a watch later reports a change with a higher number for an
-// entry, the cached copy is stale; a concurrent change with a lower or
-// equal number was already reflected in the inquiry.
-func (c *Client) FindSeq(ctx context.Context, q Query) ([]Entry, uint64, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinFind(q)); err != nil {
-		return nil, 0, err
-	} else if ok {
-		entries, seq, err := decodeBinEntries(body)
-		return entries, seq, err
-	}
-	w := xmltree.NewWriter()
-	w.Open("find_service")
-	if q.Name != "" {
-		w.Leaf("name", q.Name)
-	}
-	if q.TModel != "" {
-		w.Leaf("tModel", q.TModel)
-	}
-	keys := make([]string, 0, len(q.Categories))
-	for k := range q.Categories {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w.SelfClose("category", "keyName", k, "keyValue", q.Categories[k])
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+// ReplStatus asks an endpoint where it stands: journal position, epoch,
+// role. The election probe.
+func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
+	p, err := c.call(ctx, &request{op: opReplStatus})
 	if err != nil {
-		return nil, 0, err
+		return ReplStatus{}, err
 	}
-	// Older registries omit the attribute; zero means "no fence".
-	seq, _ := strconv.ParseUint(root.Attr("seq"), 10, 64)
-	var out []Entry
-	for _, svc := range root.All("service") {
-		e, err := entryFromXML(svc)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, e)
-	}
-	return out, seq, nil
+	return ReplStatus{Seq: p.seq, Epoch: p.epoch, Leader: p.leader, Role: p.role, ReplicaOf: p.replicaOf}, nil
 }
 
-// Get fetches one entry by key; found is false for unknown or expired
-// keys.
-func (c *Client) Get(ctx context.Context, key string) (Entry, bool, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinGet(key)); err != nil {
-		return Entry{}, false, err
-	} else if ok {
-		entries, _, err := decodeBinEntries(body)
-		if err != nil || len(entries) == 0 {
-			return Entry{}, false, err
-		}
-		return entries[0], true, nil
-	}
-	w := xmltree.NewWriter()
-	w.Open("get_serviceDetail")
-	w.Leaf("serviceKey", key)
-	root, err := c.roundTrip(ctx, w.Bytes())
+// ReplSync fetches the leader's full state dump — the attach path.
+func (c *Client) ReplSync(ctx context.Context) (ReplState, error) {
+	p, err := c.call(ctx, &request{op: opReplSync})
 	if err != nil {
-		return Entry{}, false, err
+		return ReplState{}, err
 	}
-	svc := root.Child("service")
-	if svc == nil {
-		return Entry{}, false, nil
-	}
-	e, err := entryFromXML(svc)
+	return ReplState{Seq: p.seq, Epoch: p.epoch, Leader: p.leader, Entries: p.entries, Deadlines: p.deadlines}, nil
+}
+
+// ReplWatch long-polls the leader's feed from since, announcing the
+// highest epoch this replica has seen so a deposed leader fences itself.
+func (c *Client) ReplWatch(ctx context.Context, since, epoch uint64, timeout time.Duration) (ReplChanges, error) {
+	p, err := c.call(ctx, &request{op: opReplWatch, since: since, epoch: epoch, timeout: timeout})
 	if err != nil {
-		return Entry{}, false, err
+		return ReplChanges{}, err
 	}
-	return e, true, nil
+	return ReplChanges{Changes: p.changes, Next: p.seq, Resync: p.resync, Epoch: p.epoch, Leader: p.leader}, nil
 }

@@ -1,0 +1,74 @@
+package uddi
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"homeconnect/internal/xmltree"
+)
+
+// decodeRequest runs the faces' request decoding on one request: the
+// envelope names the operation, then its parameters decode.
+func decodeRequest(binary bool, data []byte) (*request, error) {
+	if binary {
+		code, r, err := binReaderFor(data)
+		if err != nil || opsByCode[code] == nil {
+			return nil, errUnknownOp
+		}
+		q := &request{op: opsByCode[code]}
+		return q, readBinRequest(r, q)
+	}
+	root, err := xmltree.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	o := opsByName[root.Name.Local]
+	if o == nil {
+		return nil, errUnknownOp
+	}
+	q := &request{op: o}
+	return q, readXMLRequest(root, q)
+}
+
+var errUnknownOp = errors.New("unknown operation")
+
+// sameRequest compares two decoded requests. save_service rides
+// save_services' record on the binary wire, so operations compare by the
+// record that carries them.
+func sameRequest(a, b *request) bool {
+	if a.op.code != b.op.code {
+		return false
+	}
+	x, y := *a, *b
+	x.op, y.op = nil, nil
+	return reflect.DeepEqual(x, y)
+}
+
+// FuzzRegistryRequest feeds both encodings' request decoders. Neither
+// may panic. A request that decodes survives the binary encoding
+// exactly; the XML encoding may normalize it once (leaf text is trimmed,
+// characters XML cannot carry are replaced), after which both encodings
+// decode it to the same value.
+func FuzzRegistryRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, binary bool, data []byte) {
+		q, err := decodeRequest(binary, data)
+		if err != nil {
+			return
+		}
+		qb, err := decodeRequest(true, encodeBinRequest(q))
+		if err != nil || !sameRequest(qb, q) {
+			t.Fatalf("binary round trip changed the request (err %v):\n%+v\n%+v", err, q, qb)
+		}
+		qx, err := decodeRequest(false, encodeXMLRequest(q))
+		if err != nil {
+			return
+		}
+		if again, err := decodeRequest(false, encodeXMLRequest(qx)); err != nil || !sameRequest(again, qx) {
+			t.Fatalf("XML round trip is not stable (err %v):\n%+v\n%+v", err, qx, again)
+		}
+		if viaBin, err := decodeRequest(true, encodeBinRequest(qx)); err != nil || !sameRequest(viaBin, qx) {
+			t.Fatalf("encodings disagree (err %v):\nxml    %+v\nbinary %+v", err, qx, viaBin)
+		}
+	})
+}

@@ -8,6 +8,6 @@ import (
 
 // goldenXMLFace and goldenBinFace are the unrestricted registry faces the
 // golden-bytes transcripts are recorded against.
-func goldenXMLFace(s *Server) http.Handler { return s.Handler() }
+func goldenXMLFace(s *Server) http.Handler { return s.Handler(Face{}) }
 
-func goldenBinFace(s *Server) transport.BinHandler { return s.BinHandler(BinOptions{}) }
+func goldenBinFace(s *Server) transport.BinHandler { return s.BinHandler(Face{}) }

@@ -26,20 +26,15 @@
 package uddi
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
-
-	"homeconnect/internal/xmltree"
 )
 
 // ErrNotLeader is the typed refusal a replica answers writes with. It is
@@ -466,254 +461,4 @@ func (s *Server) replStatusNow() ReplStatus {
 		st.Role, st.ReplicaOf = "replica", of
 	}
 	return st
-}
-
-// replWatchFence rejects a feed request from a node that has seen a newer
-// epoch than this server: this server is the deposed leader, and must not
-// feed anyone its dead regime.
-func (s *Server) replWatchFence(reqEpoch uint64) (string, bool) {
-	epoch, leader := s.Epoch()
-	if reqEpoch > epoch {
-		return fmt.Sprintf("feed is epoch %d (leader %s), requester has seen %d",
-			epoch, leader, reqEpoch), false
-	}
-	return "", true
-}
-
-// --- XML wire face -------------------------------------------------------
-
-func (s *Server) handleReplStatus(w http.ResponseWriter) {
-	st := s.replStatusNow()
-	xw := xmltree.NewWriter()
-	xw.SelfClose("replStatus",
-		"seq", strconv.FormatUint(st.Seq, 10),
-		"epoch", strconv.FormatUint(st.Epoch, 10),
-		"leader", st.Leader,
-		"role", st.Role,
-		"replicaOf", st.ReplicaOf,
-	)
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleReplSync(w http.ResponseWriter) {
-	entries, deadlines, seq, epoch, leader := s.ReplState()
-	xw := xmltree.NewWriter()
-	xw.Open("replState",
-		"seq", strconv.FormatUint(seq, 10),
-		"epoch", strconv.FormatUint(epoch, 10),
-		"leader", leader,
-	)
-	for i, e := range entries {
-		xw.Open("replEntry", "expiresms", strconv.FormatInt(deadlines[i].UnixMilli(), 10))
-		entryToXML(xw, e)
-		xw.Close()
-	}
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleReplWatch(ctx context.Context, w http.ResponseWriter, root *xmltree.Element) {
-	var since, reqEpoch uint64
-	if t := root.ChildText("since"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad since "+t)
-			return
-		}
-		since = v
-	}
-	if t := root.ChildText("epoch"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad epoch "+t)
-			return
-		}
-		reqEpoch = v
-	}
-	if info, ok := s.replWatchFence(reqEpoch); !ok {
-		writeError(w, http.StatusConflict, "E_staleEpoch", info)
-		return
-	}
-	timeout, err := parseMillis(root, "timeoutms")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "E_fatalError", err.Error())
-		return
-	}
-	if timeout > maxWatchTimeout {
-		timeout = maxWatchTimeout
-	}
-	changes, next, _, resync, err := s.WatchChangesEpoch(ctx, since, reqEpoch, timeout, true)
-	if err != nil {
-		// Client went away mid-poll; nothing useful to write.
-		return
-	}
-	epoch, leader := s.Epoch()
-	xw := xmltree.NewWriter()
-	xw.Open("replChangeList",
-		"next", strconv.FormatUint(next, 10),
-		"resync", strconv.FormatBool(resync),
-		"epoch", strconv.FormatUint(epoch, 10),
-		"leader", leader,
-	)
-	for _, c := range changes {
-		switch c.Op {
-		case OpAdd, OpUpdate:
-			var expMS int64
-			if !c.Expires.IsZero() {
-				expMS = c.Expires.UnixMilli()
-			}
-			xw.Open("replChange",
-				"seq", strconv.FormatUint(c.Seq, 10),
-				"op", string(c.Op),
-				"expiresms", strconv.FormatInt(expMS, 10),
-			)
-			entryToXML(xw, c.Entry)
-			xw.Close()
-		default:
-			xw.SelfClose("replChange",
-				"seq", strconv.FormatUint(c.Seq, 10),
-				"op", string(c.Op),
-				"serviceKey", c.Entry.Key,
-				"name", c.Entry.Name,
-			)
-		}
-	}
-	writeXML(w, xw.Bytes())
-}
-
-// --- client side ---------------------------------------------------------
-
-// ReplStatus asks an endpoint where it stands: journal position, epoch,
-// role. The election probe.
-func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinReplStatusReq()); err != nil {
-		return ReplStatus{}, err
-	} else if ok {
-		return decodeBinReplStatus(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("repl_status")
-	root, err := c.roundTrip(ctx, w.Bytes())
-	if err != nil {
-		return ReplStatus{}, err
-	}
-	if root.Name.Local != "replStatus" {
-		return ReplStatus{}, fmt.Errorf("uddi: repl_status response root %s", root.Name.Local)
-	}
-	var st ReplStatus
-	if st.Seq, err = strconv.ParseUint(root.Attr("seq"), 10, 64); err != nil {
-		return ReplStatus{}, fmt.Errorf("uddi: bad replStatus seq: %w", err)
-	}
-	if st.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
-		return ReplStatus{}, fmt.Errorf("uddi: bad replStatus epoch: %w", err)
-	}
-	st.Leader = root.Attr("leader")
-	st.Role = root.Attr("role")
-	st.ReplicaOf = root.Attr("replicaOf")
-	return st, nil
-}
-
-// ReplSync fetches the leader's full state dump — the attach path.
-func (c *Client) ReplSync(ctx context.Context) (ReplState, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinReplSyncReq()); err != nil {
-		return ReplState{}, err
-	} else if ok {
-		return decodeBinReplState(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("repl_sync")
-	root, err := c.roundTrip(ctx, w.Bytes())
-	if err != nil {
-		return ReplState{}, err
-	}
-	if root.Name.Local != "replState" {
-		return ReplState{}, fmt.Errorf("uddi: repl_sync response root %s", root.Name.Local)
-	}
-	var st ReplState
-	if st.Seq, err = strconv.ParseUint(root.Attr("seq"), 10, 64); err != nil {
-		return ReplState{}, fmt.Errorf("uddi: bad replState seq: %w", err)
-	}
-	if st.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
-		return ReplState{}, fmt.Errorf("uddi: bad replState epoch: %w", err)
-	}
-	st.Leader = root.Attr("leader")
-	for _, el := range root.All("replEntry") {
-		expMS, err := strconv.ParseInt(el.Attr("expiresms"), 10, 64)
-		if err != nil {
-			return ReplState{}, fmt.Errorf("uddi: bad replEntry expiresms: %w", err)
-		}
-		svc := el.Child("service")
-		if svc == nil {
-			return ReplState{}, fmt.Errorf("uddi: replEntry without service")
-		}
-		e, err := entryFromXML(svc)
-		if err != nil {
-			return ReplState{}, err
-		}
-		st.Entries = append(st.Entries, e)
-		st.Deadlines = append(st.Deadlines, time.UnixMilli(expMS))
-	}
-	return st, nil
-}
-
-// ReplWatch long-polls the leader's feed from since, announcing the
-// highest epoch this replica has seen so a deposed leader fences itself.
-func (c *Client) ReplWatch(ctx context.Context, since, epoch uint64, timeout time.Duration) (ReplChanges, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinReplWatchReq(since, epoch, timeout)); err != nil {
-		return ReplChanges{}, err
-	} else if ok {
-		return decodeBinReplChanges(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("repl_watch")
-	w.Leaf("since", strconv.FormatUint(since, 10))
-	w.Leaf("epoch", strconv.FormatUint(epoch, 10))
-	if timeout > 0 {
-		w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
-	if err != nil {
-		return ReplChanges{}, err
-	}
-	if root.Name.Local != "replChangeList" {
-		return ReplChanges{}, fmt.Errorf("uddi: repl_watch response root %s", root.Name.Local)
-	}
-	var rc ReplChanges
-	if rc.Next, err = strconv.ParseUint(root.Attr("next"), 10, 64); err != nil {
-		return ReplChanges{}, fmt.Errorf("uddi: bad replChangeList next: %w", err)
-	}
-	rc.Resync = root.Attr("resync") == "true"
-	if rc.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
-		return ReplChanges{}, fmt.Errorf("uddi: bad replChangeList epoch: %w", err)
-	}
-	rc.Leader = root.Attr("leader")
-	for _, el := range root.All("replChange") {
-		seq, err := strconv.ParseUint(el.Attr("seq"), 10, 64)
-		if err != nil {
-			return ReplChanges{}, fmt.Errorf("uddi: bad replChange seq: %w", err)
-		}
-		ch := Change{Seq: seq, Op: ChangeOp(el.Attr("op"))}
-		switch ch.Op {
-		case OpAdd, OpUpdate:
-			expMS, err := strconv.ParseInt(el.Attr("expiresms"), 10, 64)
-			if err != nil {
-				return ReplChanges{}, fmt.Errorf("uddi: bad replChange expiresms: %w", err)
-			}
-			if expMS != 0 {
-				ch.Expires = time.UnixMilli(expMS)
-			}
-			svc := el.Child("service")
-			if svc == nil {
-				return ReplChanges{}, fmt.Errorf("uddi: %s replChange without service", ch.Op)
-			}
-			if ch.Entry, err = entryFromXML(svc); err != nil {
-				return ReplChanges{}, err
-			}
-		case OpDelete, OpExpire:
-			ch.Entry = Entry{Key: el.Attr("serviceKey"), Name: el.Attr("name")}
-		default:
-			return ReplChanges{}, fmt.Errorf("uddi: unknown replChange op %q", el.Attr("op"))
-		}
-		rc.Changes = append(rc.Changes, ch)
-	}
-	return rc, nil
 }

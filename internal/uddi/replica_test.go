@@ -45,7 +45,7 @@ func TestReplicaModeRejectsWrites(t *testing.T) {
 	s.SetReplicaOf(leaderURL)
 
 	t.Run("xml", func(t *testing.T) {
-		srv := httptest.NewServer(s.Handler())
+		srv := httptest.NewServer(s.Handler(Face{}))
 		defer srv.Close()
 		c := &Client{URL: srv.URL}
 		ctx := context.Background()
@@ -66,7 +66,7 @@ func TestReplicaModeRejectsWrites(t *testing.T) {
 	})
 
 	t.Run("binary", func(t *testing.T) {
-		resp := binServe(s, BinOptions{}, "home-a", encodeBinSaveAll([]Entry{lampEntry()}, time.Hour))
+		resp := binServe(s, Face{}, "home-a", encodeBinSaveAll([]Entry{lampEntry()}, time.Hour))
 		if resp.Status != http.StatusMisdirectedRequest {
 			t.Fatalf("binary save on replica: status %d, want %d", resp.Status, http.StatusMisdirectedRequest)
 		}
@@ -82,7 +82,7 @@ func TestReplicaModeRejectsWrites(t *testing.T) {
 			t.Fatalf("binary error info %q does not carry the leader hint", info)
 		}
 		// Binary reads keep working.
-		resp = binServe(s, BinOptions{}, "home-a", encodeBinFind(Query{}))
+		resp = binServe(s, Face{}, "home-a", encodeBinFind(Query{}))
 		if entries, _, err := decodeBinEntries(resp.Body); err != nil || len(entries) != 1 {
 			t.Fatalf("binary find on replica = %d entries, err %v", len(entries), err)
 		}
@@ -104,8 +104,8 @@ func TestClientFailover(t *testing.T) {
 		deadURL    = "http://dead.test/uddi"
 	)
 	replica.SetReplicaOf(leaderURL)
-	mem.Handle("lead.test", leader.Handler())
-	mem.Handle("repl.test", replica.Handler())
+	mem.Handle("lead.test", leader.Handler(Face{}))
+	mem.Handle("repl.test", replica.Handler(Face{}))
 	ctx := context.Background()
 
 	t.Run("not-leader re-pins", func(t *testing.T) {
@@ -242,7 +242,7 @@ func TestReplWatchStaleEpochFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Save(lampEntry(), time.Hour)
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(s.Handler(Face{}))
 	defer srv.Close()
 	c := &Client{URL: srv.URL}
 	ctx := context.Background()
@@ -371,7 +371,7 @@ func TestReplFramesXMLBinaryEquivalence(t *testing.T) {
 	leader.Sweep() // journals the expiry of "uuid:fleeting"
 	_ = fleeting
 
-	srv := httptest.NewServer(leader.Handler())
+	srv := httptest.NewServer(leader.Handler(Face{}))
 	defer srv.Close()
 	ctx := context.Background()
 
@@ -395,7 +395,7 @@ func TestReplFramesXMLBinaryEquivalence(t *testing.T) {
 	// Binary replica: the same feed through the HCB1 records.
 	binReplica := NewServer()
 	defer binReplica.Close()
-	resp := binServe(leader, BinOptions{}, "home-a", encodeBinReplWatchReq(0, 0, time.Millisecond))
+	resp := binServe(leader, Face{}, "home-a", encodeBinReplWatchReq(0, 0, time.Millisecond))
 	rcBin, err := decodeBinReplChanges(resp.Body)
 	if err != nil || rcBin.Resync {
 		t.Fatalf("binary repl_watch: resync %v err %v", rcBin.Resync, err)
@@ -430,7 +430,7 @@ func TestReplFramesXMLBinaryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp = binServe(leader, BinOptions{}, "home-a", encodeBinReplSyncReq())
+	resp = binServe(leader, Face{}, "home-a", encodeBinReplSyncReq())
 	stBin, err := decodeBinReplState(resp.Body)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package uddi
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -125,7 +126,7 @@ func TestServerExpiry(t *testing.T) {
 
 func TestClientServerRoundTrip(t *testing.T) {
 	s := NewServer()
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(s.Handler(Face{}))
 	defer srv.Close()
 	c := &Client{URL: srv.URL}
 	ctx := context.Background()
@@ -163,7 +164,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 
 func TestClientErrors(t *testing.T) {
 	s := NewServer()
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(s.Handler(Face{}))
 	defer srv.Close()
 	c := &Client{URL: srv.URL}
 	ctx := context.Background()
@@ -181,17 +182,20 @@ func TestClientErrors(t *testing.T) {
 
 func TestServerHandlerRejectsBadRequests(t *testing.T) {
 	s := NewServer()
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(s.Handler(Face{}))
 	defer srv.Close()
-	c := &Client{URL: srv.URL}
-
-	// Unknown root element.
-	if _, err := c.roundTrip(context.Background(), []byte("<bogus_request/>")); err == nil {
-		t.Error("bogus request accepted")
-	}
-	// Malformed XML.
-	if _, err := c.roundTrip(context.Background(), []byte("<<<")); err == nil {
-		t.Error("malformed request accepted")
+	for name, doc := range map[string]string{
+		"unknown root element": "<bogus_request/>",
+		"malformed XML":        "<<<",
+	} {
+		resp, err := http.Post(srv.URL, "text/xml", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, http.StatusBadRequest)
+		}
 	}
 }
 

@@ -826,41 +826,51 @@ func (r *walReader) uvarint() uint64 {
 	return v
 }
 
+// str reads a length-prefixed string. The length is checked against
+// the bytes left before any arithmetic, so no length can overflow.
 func (r *walReader) str() string {
-	n := int(r.uvarint())
+	n := r.uvarint()
 	if r.err != nil {
 		return ""
 	}
-	if n < 0 || r.off+n > len(r.b) {
+	if n > uint64(len(r.b)-r.off) {
 		r.err = fmt.Errorf("uddi: string length %d out of range", n)
 		return ""
 	}
-	v := string(r.b[r.off : r.off+n])
-	r.off += n
+	v := string(r.b[r.off : r.off+int(n)])
+	r.off += int(n)
 	return v
+}
+
+// count reads a list length. Every element takes at least one byte, so a
+// count above the bytes left is refused before it can size an
+// allocation or overflow an int.
+func (r *walReader) count() int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)-r.off) {
+		r.err = fmt.Errorf("uddi: count %d out of range", n)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *walReader) byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if r.off >= len(r.b) {
+		r.err = fmt.Errorf("uddi: truncated record")
+		return 0
+	}
+	r.off++
+	return r.b[r.off-1]
 }
 
 func decodeWALEntry(r *walReader) (Entry, time.Time) {
 	expMS := r.uvarint()
-	var e Entry
-	e.Key = r.str()
-	e.Name = r.str()
-	e.Description = r.str()
-	e.AccessPoint = r.str()
-	e.TModel = r.str()
-	e.WSDL = r.str()
-	ncats := int(r.uvarint())
-	if r.err == nil && ncats > 0 {
-		if ncats > maxWALFrame {
-			r.err = fmt.Errorf("uddi: category count out of range")
-			return Entry{}, time.Time{}
-		}
-		e.Categories = make(map[string]string, ncats)
-		for i := 0; i < ncats; i++ {
-			k := r.str()
-			e.Categories[k] = r.str()
-		}
-	}
+	e := decodeBinEntry(r)
 	var exp time.Time
 	if expMS != 0 {
 		exp = time.UnixMilli(int64(expMS))
@@ -986,12 +996,9 @@ func loadSnapshot(path string) (entries []Entry, deadlines []time.Time, seq, epo
 	}
 	r := &walReader{b: payload, off: 1}
 	seq = r.uvarint()
-	count := int(r.uvarint())
+	count := r.count()
 	if r.err != nil {
 		return nil, nil, 0, 0, "", r.err
-	}
-	if count < 0 || count > maxWALFrame {
-		return nil, nil, 0, 0, "", fmt.Errorf("uddi: snapshot count out of range")
 	}
 	entries = make([]Entry, 0, count)
 	deadlines = make([]time.Time, 0, count)

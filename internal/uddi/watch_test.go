@@ -205,7 +205,7 @@ func TestExpiryJournaled(t *testing.T) {
 func TestClientWatchRoundTrip(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(s.Handler(Face{}))
 	defer srv.Close()
 	c := &Client{URL: srv.URL}
 	ctx := context.Background()
@@ -254,7 +254,7 @@ func TestClientWatchRoundTrip(t *testing.T) {
 func TestClientSaveAll(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(s.Handler(Face{}))
 	defer srv.Close()
 	c := &Client{URL: srv.URL}
 	ctx := context.Background()
