@@ -5,7 +5,9 @@
 // access point, interface tModel, inline WSDL, category bag) and a client
 // speaking a compact XML-over-HTTP protocol modelled on the UDDI v2
 // inquiry/publication API: save_service, delete_service, find_service,
-// get_serviceDetail.
+// get_serviceDetail. Between framework endpoints the same operations
+// also ride binuddi records on the binary fast path; one op table
+// (ops.go) drives both encodings.
 //
 // Entries carry a time-to-live; publishers refresh periodically and the
 // registry expires stale services, giving the federation the liveness that
