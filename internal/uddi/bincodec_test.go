@@ -48,6 +48,8 @@ func encodeBinSaveAll(entries []Entry, ttl time.Duration) []byte {
 
 func encodeBinFind(q Query) []byte { return encodeBinRequest(&request{op: opFind, query: q}) }
 
+func encodeBinGet(key string) []byte { return encodeBinRequest(&request{op: opGet, key: key}) }
+
 func encodeBinWatch(since, sinceEpoch uint64, timeout time.Duration) []byte {
 	return encodeBinRequest(&request{op: opWatch, since: since, epoch: sinceEpoch, timeout: timeout})
 }
@@ -148,5 +150,45 @@ func TestBinCodecRejectsMalformed(t *testing.T) {
 	}
 	if _, _, _, _, err := decodeBinChanges([]byte{binUDDIVersion, binUDDIChanges, 0}); err == nil {
 		t.Error("truncated change list decoded")
+	}
+}
+
+// TestBinHandlerViewFilters drives one view-filtered binary face through
+// find, watch and get on one registry: the view hides and rewrites on
+// every read, and the watch cursor still covers the hidden change.
+func TestBinHandlerViewFilters(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	s.Save(Entry{Key: "uuid:public", Name: "public"}, time.Hour)
+	s.Save(Entry{Key: "uuid:secret", Name: "secret"}, time.Hour)
+	f := Face{ViewFor: func(caller string) (View, bool) {
+		return func(e Entry) (Entry, bool) {
+			if e.Name == "secret" {
+				return Entry{}, false
+			}
+			e.Name = caller + "/" + e.Name
+			return e, true
+		}, true
+	}}
+
+	resp := binServe(s, f, "home-b", encodeBinFind(Query{Name: "%"}))
+	entries, _, err := decodeBinEntries(resp.Body)
+	if err != nil || len(entries) != 1 || entries[0].Name != "home-b/public" {
+		t.Fatalf("filtered find = %+v, err=%v", entries, err)
+	}
+
+	resp = binServe(s, f, "home-b", encodeBinWatch(0, 0, 0))
+	changes, next, _, _, err := decodeBinChanges(resp.Body)
+	if err != nil || len(changes) != 1 || changes[0].Entry.Name != "home-b/public" {
+		t.Fatalf("filtered watch = %+v, err=%v", changes, err)
+	}
+	// The cursor still advances past the hidden change.
+	if next != s.Seq() {
+		t.Fatalf("cursor %d, want %d", next, s.Seq())
+	}
+
+	resp = binServe(s, f, "home-b", encodeBinGet("uuid:secret"))
+	if entries, _, _ := decodeBinEntries(resp.Body); len(entries) != 0 {
+		t.Fatal("hidden entry served through get")
 	}
 }
