@@ -43,6 +43,9 @@ type Federation struct {
 	noLoopback bool
 	noBinary   bool
 	closed     bool
+	// stream is the home's one repository change stream, fanned out to
+	// every gateway; started with the first network.
+	stream *changeStream
 
 	// auditLog is the home's tamper-evident audit plane, nil until
 	// EnableAudit. One log per federation: every instrumented component
@@ -128,6 +131,8 @@ func (f *Federation) VSRURL() string { return f.vsrServer.URL() }
 func (f *Federation) VSRServer() *vsr.Server { return f.vsrServer }
 
 // AddNetwork creates and starts a gateway for a new middleware network.
+// The gateway runs no repository watch of its own: the federation's one
+// change stream, opened with the first network, feeds it every delta.
 func (f *Federation) AddNetwork(name string) (*Network, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -143,9 +148,18 @@ func (f *Federation) AddNetwork(name string) (*Network, error) {
 	gw.SetAudit(f.auditLog)
 	gw.SetLoopbackEnabled(!f.noLoopback)
 	gw.SetBinaryEnabled(!f.noBinary)
+	gw.SetWatchEnabled(false)
+	if f.stream == nil {
+		s, err := startChangeStream(f.vsrServer.URL(), f.auth, !f.noBinary)
+		if err != nil {
+			return nil, err
+		}
+		f.stream = s
+	}
 	if err := gw.Start("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
+	f.stream.join(gw)
 	n := &Network{fed: f, gw: gw}
 	f.networks[name] = n
 	f.order = append(f.order, name)
@@ -198,11 +212,12 @@ func (f *Federation) SetLoopback(on bool) {
 
 // SetBinaryWire gates the session-keyed binary fast path on every
 // endpoint this federation owns: the repository's binary face, each
-// gateway's inbound face and outbound dialer, and the peering's import
-// links. On — the default whenever the home has an identity — framework
-// traffic to peers that negotiate it rides compact MAC'd frames; off,
-// every hello is refused and all traffic stays on signed SOAP/HTTP, the
-// byte-identical interop wire (a SOAP-only home in a mixed federation).
+// gateway's inbound face and outbound dialer, the change stream's
+// dialer, and the peering's import links. On — the default whenever the
+// home has an identity — framework traffic to peers that negotiate it
+// rides compact MAC'd frames; off, every hello is refused and all
+// traffic stays on signed SOAP/HTTP, the byte-identical interop wire (a
+// SOAP-only home in a mixed federation).
 // Open-mode federations are unaffected: without an identity no session
 // can be keyed and the wire is SOAP regardless.
 func (f *Federation) SetBinaryWire(on bool) {
@@ -213,6 +228,9 @@ func (f *Federation) SetBinaryWire(on bool) {
 	for _, n := range f.networks {
 		n.gw.SetBinaryEnabled(on)
 	}
+	if f.stream != nil {
+		f.stream.dialer.SetBinary(on)
+	}
 	if f.peering != nil {
 		f.peering.SetBinaryEnabled(on)
 	}
@@ -220,9 +238,10 @@ func (f *Federation) SetBinaryWire(on bool) {
 
 // WireStats aggregates per-authority wire-protocol state — negotiated
 // protocol, session age, handshake/rekey/downgrade counts — across every
-// dialer this federation owns: each gateway's outbound dialer plus the
-// peering's link dialer. Authorities dialed by more than one component
-// merge (counters sum; "binary" wins the protocol tag).
+// dialer this federation owns: each gateway's outbound dialer, the
+// change stream's dialer and the peering's link dialer. Authorities
+// dialed by more than one component merge (counters sum; "binary" wins
+// the protocol tag).
 func (f *Federation) WireStats() transport.WireStats {
 	f.mu.Lock()
 	gws := make([]*vsg.VSG, 0, len(f.networks))
@@ -230,6 +249,7 @@ func (f *Federation) WireStats() transport.WireStats {
 		gws = append(gws, n.gw)
 	}
 	p := f.peering
+	stream := f.stream
 	f.mu.Unlock()
 
 	out := make(transport.WireStats)
@@ -256,6 +276,9 @@ func (f *Federation) WireStats() transport.WireStats {
 		if d := gw.Dialer(); d != nil {
 			merge(d.WireStatsSnapshot())
 		}
+	}
+	if stream != nil {
+		merge(stream.dialer.WireStatsSnapshot())
 	}
 	if p != nil {
 		merge(p.WireStats())
@@ -481,6 +504,10 @@ type RegistryStats struct {
 	// Saves and Finds count operations since start.
 	Saves int64 `json:"saves"`
 	Finds int64 `json:"finds"`
+	// Watches counts watch requests served since start: one per
+	// long-poll round of each watcher — the home's change stream, any
+	// standalone gateway, each peer link.
+	Watches int64 `json:"watches"`
 	// Seq is the change journal's newest sequence number.
 	Seq uint64 `json:"seq"`
 }
@@ -524,6 +551,7 @@ func (f *Federation) healthReport() HealthReport {
 			Entries: reg.Len(),
 			Saves:   saves,
 			Finds:   finds,
+			Watches: reg.Watches(),
 			Seq:     reg.Seq(),
 		},
 		Networks:   f.Health(),
@@ -548,10 +576,10 @@ func (f *Federation) Health() map[string]vsg.Health {
 	return out
 }
 
-// Close stops the scene engine, PCMs, gateways and the repository, in
-// that order: scenes first so no composition fires while the services it
-// calls are being torn down. A durable repository's WAL is flushed but
-// left unmarked; use Shutdown for the marked clean stop.
+// Close stops the scene engine, PCMs, the change stream, gateways and the
+// repository, in that order: scenes first so no composition fires while
+// the services it calls are being torn down. A durable repository's WAL
+// is flushed but left unmarked; use Shutdown for the marked clean stop.
 func (f *Federation) Close() { f.closeWith(false) }
 
 // Shutdown is Close plus a durable clean stop: once every mutator has
@@ -570,6 +598,7 @@ func (f *Federation) closeWith(clean bool) {
 	f.closed = true
 	engine := f.scenes
 	peering := f.peering
+	stream := f.stream
 	names := append([]string(nil), f.order...)
 	nets := make([]*Network, 0, len(names))
 	for _, name := range names {
@@ -592,6 +621,11 @@ func (f *Federation) closeWith(clean bool) {
 		for _, p := range pcms {
 			_ = p.Stop()
 		}
+	}
+	// No delta reaches a gateway mid-teardown, and the stream's parked
+	// long-poll ends before the repository does.
+	if stream != nil {
+		stream.close()
 	}
 	for _, n := range nets {
 		n.gw.Close()

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"strings"
@@ -120,9 +121,6 @@ type VSG struct {
 	// base is the URL authority for a detached gateway (StartDetached) —
 	// a virtual hostname on an in-memory network, no listener.
 	base string
-	// watchSince is the manual watch cursor (PumpWatch); unused while the
-	// background watch loop runs.
-	watchSince uint64
 
 	mu      sync.Mutex
 	exports map[string]*export
@@ -388,10 +386,11 @@ func (g *VSG) SetBinaryEnabled(on bool) {
 	}
 }
 
-// SetWatchEnabled gates the repository watch; call before Start. With the
-// watch off the gateway degrades to the paper's poll model: blind
-// TTL-bounded caching and no push invalidation (the middle point of the
-// DESIGN.md §7 ablation).
+// SetWatchEnabled gates the gateway's own repository watch; call before
+// Start. With the watch off the gateway degrades to the paper's poll
+// model: blind TTL-bounded caching and no push invalidation (the middle
+// point of the DESIGN.md §7 ablation), unless its owner feeds it a shared
+// change stream through ApplyDelta.
 func (g *VSG) SetWatchEnabled(on bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -437,9 +436,9 @@ func (g *VSG) Start(addr string) error {
 // StartDetached brings the gateway up with no TCP listener and no
 // background loops: its wire faces are the returned handler (registered
 // on an in-memory network under base, e.g. "home-17-jini"), exports
-// refresh only when the owner calls RefreshExports, and the repository
-// watch advances only through PumpWatch. The deterministic simulation
-// drives both from its event loop, so nothing here ticks on its own.
+// refresh only when the owner calls RefreshExports, and no repository
+// watch runs, so resolutions are TTL-cached unless the owner feeds
+// deltas through ApplyDelta. Nothing here ticks on its own.
 // The gateway still joins the in-process loopback registry: same-home
 // loopback dispatch is one of the paths under measurement.
 func (g *VSG) StartDetached(base string) http.Handler {
@@ -698,33 +697,6 @@ func (g *VSG) RefreshExports(ctx context.Context) error {
 	return roundErr
 }
 
-// PumpWatch performs one synchronous watch round against the repository
-// — an immediate probe, no parked poll — and folds any pending deltas
-// into the resolve cache through the same state machine the background
-// watch loop runs. The manual counterpart of watchLoop, for detached
-// gateways on a simulation event loop.
-func (g *VSG) PumpWatch(ctx context.Context) error {
-	deltas, next, resync, err := g.vsr.WatchOnce(ctx, g.watchSince, 0)
-	if err != nil {
-		g.applyDelta(vsr.Delta{Op: vsr.DeltaDown, Err: err})
-		return err
-	}
-	g.mu.Lock()
-	up := g.watchUp
-	g.mu.Unlock()
-	if !up {
-		g.applyDelta(vsr.Delta{Op: vsr.DeltaUp, Seq: next})
-	}
-	if resync {
-		g.applyDelta(vsr.Delta{Op: vsr.DeltaResync, Seq: next})
-	}
-	for _, d := range deltas {
-		g.applyDelta(d)
-	}
-	g.watchSince = next
-	return nil
-}
-
 // watchLoop consumes the repository's change stream and keeps the resolve
 // cache exact: updates rewrite cached endpoints in place (a re-homed
 // service is callable again as soon as the delta lands), deletions and
@@ -737,14 +709,23 @@ func (g *VSG) watchLoop(ctx context.Context) {
 		return
 	}
 	for d := range ch {
-		g.applyDelta(d)
+		g.ApplyDelta(d)
 	}
 }
 
-// applyDelta folds one repository notification into the gateway's state.
-func (g *VSG) applyDelta(d vsr.Delta) {
+// ApplyDelta folds one repository notification into the gateway's
+// state, exactly as the gateway's own watch would: the entry point for
+// an owner that runs one change stream for several gateways (a
+// core.Federation watches its repository once and fans every delta out
+// to its gateways, which start with their own watch off). Deltas must
+// arrive in stream order; d is read-only and may be shared with other
+// gateways. A closed gateway ignores them.
+func (g *VSG) ApplyDelta(d vsr.Delta) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.closed {
+		return
+	}
 	switch d.Op {
 	case vsr.DeltaUp:
 		if !g.watchUp {
@@ -787,8 +768,13 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 		// Only rewrite what callers have actually resolved; the cache
 		// tracks this gateway's working set, not the whole federation.
 		if _, ok := g.resolveCache[d.ServiceID]; ok {
+			// The delta may be shared with other gateways: cache a private
+			// copy of its one mutable part, the context map, so no caller
+			// of Resolve can reach another gateway's cached description.
+			remote := d.Remote
+			remote.Desc.Context = maps.Clone(remote.Desc.Context)
 			g.resolveCache[d.ServiceID] = cachedRemote{
-				remote:  d.Remote,
+				remote:  remote,
 				expires: g.clock.Now().Add(g.cacheTTL),
 			}
 			g.invalidations.Add(1)

@@ -281,7 +281,10 @@ const (
 	DeltaDown DeltaOp = "down"
 )
 
-// Delta is one notification from a repository watch.
+// Delta is one notification from a repository watch. One Delta may be
+// handed to several consumers (a federation fans its one stream out to
+// every gateway), so consumers treat it as read-only, Remote.Desc's maps
+// and slices included, and copy what they keep and may mutate.
 type Delta struct {
 	// Seq is the registry sequence number (change deltas and Resync).
 	Seq uint64
@@ -387,24 +390,16 @@ func (v *VSR) watchLoop(ctx context.Context, since uint64, ch chan<- Delta) {
 	}
 }
 
-// WatchOnce performs a single watch round trip: change deltas after
-// since, parking server-side up to timeout (zero probes and returns
+// WatchOnceEpoch performs a single watch round trip: change deltas
+// after since, parking server-side up to timeout (zero probes and returns
 // immediately). next is the cursor to resume from; resync means the
-// journal no longer covers since and the caller must reconcile. This is
-// the synchronous primitive under Watch's streaming loop — and what the
-// deterministic simulation drives directly, one round per scheduled
-// event, with no goroutine or parked poll in the path.
-func (v *VSR) WatchOnce(ctx context.Context, since uint64, timeout time.Duration) (deltas []Delta, next uint64, resync bool, err error) {
-	deltas, next, _, resync, err = v.WatchOnceEpoch(ctx, since, 0, timeout)
-	return deltas, next, resync, err
-}
-
-// WatchOnceEpoch is WatchOnce carrying the replication epoch the cursor
-// came from and returning the repository's current one (see
-// uddi.Client.WatchEpoch). Callers that persist their cursor across
-// repository failovers — the peer import link above all — resume with the
-// returned epoch, and must adopt next even when it sits below the old
-// cursor: under a newer epoch it is the shared-history replay point.
+// journal no longer covers since and the caller must reconcile. It also
+// carries the replication epoch the cursor came from and returns the
+// repository's current one (see uddi.Client.WatchEpoch). Callers that
+// persist their cursor across repository failovers — the peer import
+// link above all — resume with the returned epoch, and must adopt next
+// even when it sits below the old cursor: under a newer epoch it is the
+// shared-history replay point.
 func (v *VSR) WatchOnceEpoch(ctx context.Context, since, sinceEpoch uint64, timeout time.Duration) (deltas []Delta, next, nextEpoch uint64, resync bool, err error) {
 	changes, next, nextEpoch, resync, err := v.client.WatchEpoch(ctx, since, sinceEpoch, timeout)
 	if err != nil {

@@ -158,6 +158,7 @@ func serveGet(s *Server, _ context.Context, q request) (reply, *refusal) {
 }
 
 func serveWatch(s *Server, ctx context.Context, q request) (reply, *refusal) {
+	s.watches.Add(1)
 	changes, next, epoch, resync, err := s.WatchChangesEpoch(ctx, q.since, q.epoch, q.timeout, false)
 	if err != nil {
 		// The client went away mid-poll.

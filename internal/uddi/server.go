@@ -67,9 +67,11 @@ type Server struct {
 	// keeping sequence numbers identical across the replica set.
 	replica atomic.Pointer[replicaState]
 
-	// saves and finds count operations for the benchmark harness.
-	saves atomic.Int64
-	finds atomic.Int64
+	// saves and finds count operations for the benchmark harness;
+	// watches counts watch requests served on the wire faces.
+	saves   atomic.Int64
+	finds   atomic.Int64
+	watches atomic.Int64
 
 	// shardOps counts mutations per shard — the simulation harness reads
 	// the distribution to test shard-load uniformity under churn.
@@ -404,6 +406,12 @@ func (s *Server) Len() int {
 func (s *Server) Stats() (saves, finds int64) {
 	return s.saves.Load(), s.finds.Load()
 }
+
+// Watches returns the cumulative count of watch requests served on the
+// wire faces (the watch op, XML and binuddi alike; not the replication
+// feed's repl_watch): one per long-poll round of every gateway, peer
+// link and federation change stream reading this registry.
+func (s *Server) Watches() int64 { return s.watches.Load() }
 
 // Seq returns the sequence number of the most recent change.
 func (s *Server) Seq() uint64 {
