@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -34,9 +33,11 @@ import (
 	"homeconnect/internal/transport"
 )
 
-// authHTTP signs every homectl request when -identity is given; nil in
-// open mode (protocol clients then fall back to the shared transport).
-var authHTTP *http.Client
+// dialer carries every homectl request: signed SOAP/HTTP as the home
+// when -identity is given (the binary fast path stays off, so requests
+// remain plain signed HTTP), nil — anonymous over the shared transport —
+// in open mode.
+var dialer *transport.Dialer
 
 func main() {
 	vsrURL := flag.String("vsr", "http://127.0.0.1:8600/uddi", "Virtual Service Repository URL (comma-separate replica-set members for failover)")
@@ -62,7 +63,8 @@ func main() {
 		if err := identity.Configure(auth, trust, nil, nil); err != nil {
 			log.Fatal(err)
 		}
-		authHTTP = transport.NewDialer(auth).HTTPClient()
+		dialer = transport.NewDialer(auth)
+		dialer.Binary = false
 	} else if len(trust) > 0 {
 		log.Fatal("homectl: -trust requires -identity")
 	}
@@ -79,9 +81,7 @@ func main() {
 	}
 	opsURL := endpoints[0]
 	repo := vsr.NewSet(endpoints...)
-	if authHTTP != nil {
-		repo.SetHTTPClient(authHTTP)
-	}
+	repo.SetDialer(dialer)
 
 	switch args[0] {
 	case "list":
@@ -186,7 +186,7 @@ func call(ctx context.Context, repo *vsr.VSR, id, op string, textArgs []string) 
 	for i, p := range opSpec.Inputs {
 		callDoc.Args = append(callDoc.Args, soap.Arg{Name: p.Name, Value: args[i]})
 	}
-	client := &soap.Client{URL: r.Endpoint, HTTP: authHTTP}
+	client := &soap.Client{URL: r.Endpoint, Dialer: dialer}
 	result, err := client.Call(ctx, vsg.Namespace(id)+"#"+op, callDoc)
 	if err != nil {
 		log.Fatal(err)

@@ -35,11 +35,7 @@ func opsGet(ctx context.Context, faceURL string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := authHTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := dialer.HTTPClient().Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func (c soapCaller) Call(ctx context.Context, id, op string, args []service.Valu
 	for i, p := range opSpec.Inputs {
 		call.Args = append(call.Args, soap.Arg{Name: p.Name, Value: args[i]})
 	}
-	client := &soap.Client{URL: r.Endpoint, HTTP: authHTTP}
+	client := &soap.Client{URL: r.Endpoint, Dialer: dialer}
 	return client.Call(ctx, vsg.Namespace(id)+"#"+op, call)
 }
 
@@ -133,7 +133,7 @@ func attachSources(ctx context.Context, repo *vsr.VSR, eng *scene.Engine) []*sce
 			continue
 		}
 		seen[network] = true
-		src := scene.NewPollSource(&events.Client{BaseURL: u.Scheme + "://" + u.Host + "/events", HTTP: authHTTP})
+		src := scene.NewPollSource(&events.Client{BaseURL: u.Scheme + "://" + u.Host + "/events", HTTP: dialer.HTTPClient()})
 		eng.AddSource(network, src)
 		sources = append(sources, src)
 	}

@@ -50,6 +50,7 @@ import (
 	"homeconnect/internal/core/identity"
 	"homeconnect/internal/core/pcm"
 	"homeconnect/internal/core/vsg"
+	"homeconnect/internal/transport"
 )
 
 // buildAuth assembles the gateway's authentication context from flags,
@@ -119,6 +120,13 @@ func main() {
 	gw.SetHome(*home)
 	if auth != nil {
 		gw.SetAuth(auth)
+		// The gateway's outbound traffic rides one Dialer signed as the
+		// home; -binary gates its fast-path negotiation and the inbound
+		// binary face alike.
+		d := transport.NewDialer(auth)
+		d.Binary = *binary
+		defer d.Close()
+		gw.SetDialer(d)
 	}
 	gw.SetCacheTTL(*cacheTTL)
 	gw.SetWatchEnabled(!*noWatch)

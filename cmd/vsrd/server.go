@@ -52,6 +52,10 @@ type config struct {
 type server struct {
 	*vsr.Server
 	peering *peer.Peering
+	// dialer is the home's one outbound Dialer: the peering's import
+	// links and the replica node ride it, signed as the home. A
+	// repository without -home dials anonymously (nil).
+	dialer *transport.Dialer
 	// audit is the home's audit log, nil when auditing is off.
 	audit *audit.Log
 	// identity is the loaded (or freshly generated) home identity, nil
@@ -77,6 +81,7 @@ func (s *server) Close() {
 	if s.peering != nil {
 		s.peering.Close()
 	}
+	s.dialer.Close()
 	s.Server.Close()
 	_ = s.audit.Close()
 }
@@ -93,6 +98,7 @@ func (s *server) Shutdown() {
 	if s.peering != nil {
 		s.peering.Close()
 	}
+	s.dialer.Close()
 	_ = s.Registry().Shutdown()
 	s.Server.Close()
 	_ = s.audit.Close()
@@ -143,10 +149,8 @@ func (s *server) mountOps(cfg config, auth *identity.Auth) error {
 		ops.HealthHandler(func() any {
 			saves, finds := s.Registry().Stats()
 			var peers map[string]peer.Status
-			var wire transport.WireStats
 			if s.peering != nil {
 				peers = s.peering.Status()
-				wire = s.peering.WireStats()
 			}
 			var durability *uddi.DurabilityStats
 			if d := s.Registry().Durability(); d.Enabled {
@@ -168,7 +172,7 @@ func (s *server) mountOps(cfg config, auth *identity.Auth) error {
 				},
 				Replication: repl,
 				Peers:       peers,
-				Wire:        wire,
+				Wire:        s.dialer.WireStatsSnapshot(),
 				Audit:       s.audit.Stats(),
 				Durability:  durability,
 			}
@@ -195,9 +199,11 @@ func normalizeEndpoint(ep string) string {
 }
 
 // buildNode assembles the replica-set coordination node (nil config →
-// nil node). It only constructs; bootReplication later decides the role
-// and starts the loop, after the operability faces are mounted.
-func buildNode(cfg config, srv *vsr.Server) (*replica.Node, error) {
+// nil node) over the server's Dialer, so inter-node traffic is signed as
+// the home the members share. It only constructs; bootReplication later
+// decides the role and starts the loop, after the operability faces are
+// mounted.
+func buildNode(cfg config, srv *vsr.Server, d *transport.Dialer) (*replica.Node, error) {
 	if cfg.replicaOf == "" && len(cfg.replicaSet) == 0 {
 		return nil, nil
 	}
@@ -210,6 +216,7 @@ func buildNode(cfg config, srv *vsr.Server) (*replica.Node, error) {
 		Set:       set,
 		ReplicaOf: normalizeEndpoint(cfg.replicaOf),
 		Registry:  srv.Registry(),
+		Dialer:    d,
 	})
 }
 
@@ -290,7 +297,7 @@ func startServer(cfg config) (*server, error) {
 			srv.Registry().SetJournalCapacity(cfg.journal)
 		}
 		s := &server{Server: srv}
-		if s.node, err = buildNode(cfg, srv); err != nil {
+		if s.node, err = buildNode(cfg, srv, nil); err != nil {
 			srv.Close()
 			return nil, err
 		}
@@ -316,12 +323,16 @@ func startServer(cfg config) (*server, error) {
 	if cfg.journal > 0 {
 		srv.Registry().SetJournalCapacity(cfg.journal)
 	}
-	s := &server{Server: srv, identity: id, identityGenerated: generated}
-	if s.node, err = buildNode(cfg, srv); err != nil {
+	s := &server{Server: srv, identity: id, identityGenerated: generated, dialer: transport.NewDialer(auth)}
+	if !cfg.binary {
+		s.dialer.Binary = false
+		srv.SetBinaryEnabled(false)
+	}
+	if s.node, err = buildNode(cfg, srv, s.dialer); err != nil {
 		srv.Close()
 		return nil, err
 	}
-	p, err := peer.New(cfg.home, srv.Registry(), auth)
+	p, err := peer.New(cfg.home, srv.Registry(), auth, s.dialer)
 	if err != nil {
 		srv.Close()
 		return nil, err
@@ -329,10 +340,6 @@ func startServer(cfg config) (*server, error) {
 	p.SetPolicy(peer.Policy{Allow: cfg.allow, Deny: cfg.deny})
 	srv.MountPeer(p.ExportView)
 	s.peering = p
-	if !cfg.binary {
-		srv.SetBinaryEnabled(false)
-		p.SetBinaryEnabled(false)
-	}
 	if err := s.mountOps(cfg, auth); err != nil {
 		s.Close()
 		return nil, err

@@ -4,6 +4,7 @@ package main
 import (
 	"context"
 	"errors"
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -205,5 +206,81 @@ func TestStartServerPeersTwoRepositories(t *testing.T) {
 	}
 	if _, err := vb.Lookup(ctx, "home-a/x10:lamp-1"); err == nil {
 		t.Error("export-denied service replicated")
+	}
+}
+
+// freeAddr reserves an ephemeral loopback address for a server that must
+// be named in its own replica-set flags before it starts.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestArmedReplicaSetElectsOneLeader: two members of one armed home's
+// replica set, the second configured as the first's replica. The
+// replica's status probes, state transfer and feed must ride the
+// server's Dialer, signed as the home: unsigned, the leader's private
+// /uddi refuses them, the attach fails, and the replica elects itself a
+// second leader.
+func TestArmedReplicaSetElectsOneLeader(t *testing.T) {
+	idFile := filepath.Join(t.TempDir(), "h.id")
+	addrA, addrB := freeAddr(t), freeAddr(t)
+	set := []string{addrA, addrB}
+	a, err := startServer(config{addr: addrA, home: "h", idFile: idFile, binary: true, replicaSet: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := startServer(config{addr: addrB, home: "h", idFile: idFile, binary: true, replicaSet: set, replicaOf: addrA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.replicationWarn != nil {
+		t.Errorf("replica's first attach: %v", b.replicationWarn)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// A write on the leader must reach the replica through the feed.
+	v := vsr.New(a.URL())
+	v.SetDialer(a.dialer)
+	desc := service.Description{
+		ID: "jini:laserdisc-1", Name: "laserdisc", Middleware: "jini",
+		Interface: service.Interface{Name: "Laserdisc", Operations: []service.Operation{
+			{Name: "Play", Output: service.KindVoid},
+		}},
+	}
+	if _, err := v.Register(ctx, desc, "http://gw-a/services/jini:laserdisc-1"); err != nil {
+		t.Fatal(err)
+	}
+	want := a.Registry().Seq()
+	for b.node.Status().Seq < want {
+		select {
+		case <-ctx.Done():
+			t.Fatalf("replica never caught up: %+v", b.node.Status())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	st := b.node.Status()
+	if st.Role != "replica" || st.Leader != a.URL() || !st.Attached {
+		t.Errorf("replica status %+v, want an attached replica of %s", st, a.URL())
+	}
+	leaders := 0
+	for _, s := range []*server{a, b} {
+		if s.node.IsLeader() {
+			leaders++
+		}
+	}
+	if leaders != 1 || !a.node.IsLeader() {
+		t.Errorf("%d leaders (A leader: %v), want exactly A", leaders, a.node.IsLeader())
+	}
+	if _, ok := b.dialer.WireStatsSnapshot()[addrA]; !ok {
+		t.Errorf("replica links to %s missing from its wire stats: %v", addrA, b.dialer.WireStatsSnapshot())
 	}
 }

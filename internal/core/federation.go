@@ -34,6 +34,11 @@ type Federation struct {
 	// installing an identity or editing trust/ACLs takes effect
 	// everywhere at once. Open (inert) until SetIdentity.
 	auth *identity.Auth
+	// dialer is the home's one outbound Dialer, built from auth: every
+	// gateway, the change stream and the peering share its link pool,
+	// negotiation state and wire stats. The federation closes it once
+	// its last user has stopped.
+	dialer *transport.Dialer
 
 	mu         sync.Mutex
 	networks   map[string]*Network
@@ -107,10 +112,11 @@ func assembleFederation(srv *vsr.Server, home string, auth *identity.Auth) (*Fed
 		vsrServer: srv,
 		home:      home,
 		auth:      auth,
+		dialer:    transport.NewDialer(auth),
 		networks:  make(map[string]*Network),
 	}
 	if home != "" {
-		p, err := peer.New(home, srv.Registry(), auth)
+		p, err := peer.New(home, srv.Registry(), auth, f.dialer)
 		if err != nil {
 			srv.Close()
 			return nil, err
@@ -145,12 +151,13 @@ func (f *Federation) AddNetwork(name string) (*Network, error) {
 	gw := vsg.New(name, f.vsrServer.URL())
 	gw.SetHome(f.home)
 	gw.SetAuth(f.auth)
+	gw.SetDialer(f.dialer)
 	gw.SetAudit(f.auditLog)
 	gw.SetLoopbackEnabled(!f.noLoopback)
 	gw.SetBinaryEnabled(!f.noBinary)
 	gw.SetWatchEnabled(false)
 	if f.stream == nil {
-		s, err := startChangeStream(f.vsrServer.URL(), f.auth, !f.noBinary)
+		s, err := startChangeStream(f.vsrServer.URL(), f.dialer)
 		if err != nil {
 			return nil, err
 		}
@@ -211,79 +218,32 @@ func (f *Federation) SetLoopback(on bool) {
 }
 
 // SetBinaryWire gates the session-keyed binary fast path on every
-// endpoint this federation owns: the repository's binary face, each
-// gateway's inbound face and outbound dialer, the change stream's
-// dialer, and the peering's import links. On — the default whenever the
-// home has an identity — framework traffic to peers that negotiate it
-// rides compact MAC'd frames; off, every hello is refused and all
-// traffic stays on signed SOAP/HTTP, the byte-identical interop wire (a
-// SOAP-only home in a mixed federation).
+// endpoint this federation owns: the home's Dialer, which carries the
+// gateways', the change stream's and the peering's outbound traffic, and
+// the inbound binary faces of the repository and each gateway. On — the
+// default whenever the home has an identity — framework traffic to peers
+// that negotiate it rides compact MAC'd frames; off, every hello is
+// refused and all traffic stays on signed SOAP/HTTP, the byte-identical
+// interop wire (a SOAP-only home in a mixed federation).
 // Open-mode federations are unaffected: without an identity no session
 // can be keyed and the wire is SOAP regardless.
 func (f *Federation) SetBinaryWire(on bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.noBinary = !on
+	f.dialer.SetBinary(on)
 	f.vsrServer.SetBinaryEnabled(on)
 	for _, n := range f.networks {
 		n.gw.SetBinaryEnabled(on)
 	}
-	if f.stream != nil {
-		f.stream.dialer.SetBinary(on)
-	}
-	if f.peering != nil {
-		f.peering.SetBinaryEnabled(on)
-	}
 }
 
-// WireStats aggregates per-authority wire-protocol state — negotiated
-// protocol, session age, handshake/rekey/downgrade counts — across every
-// dialer this federation owns: each gateway's outbound dialer, the
-// change stream's dialer and the peering's link dialer. Authorities
-// dialed by more than one component merge (counters sum; "binary" wins
-// the protocol tag).
+// WireStats reports per-authority wire-protocol state — negotiated
+// protocol, session age, handshake/rekey/downgrade counts — of the
+// home's one Dialer, which every gateway, the change stream and the
+// peering share.
 func (f *Federation) WireStats() transport.WireStats {
-	f.mu.Lock()
-	gws := make([]*vsg.VSG, 0, len(f.networks))
-	for _, n := range f.networks {
-		gws = append(gws, n.gw)
-	}
-	p := f.peering
-	stream := f.stream
-	f.mu.Unlock()
-
-	out := make(transport.WireStats)
-	merge := func(ws transport.WireStats) {
-		for authority, ls := range ws {
-			prev, ok := out[authority]
-			if !ok {
-				out[authority] = ls
-				continue
-			}
-			prev.Handshakes += ls.Handshakes
-			prev.Rekeys += ls.Rekeys
-			prev.Downgrades += ls.Downgrades
-			if ls.Protocol == "binary" {
-				prev.Protocol = ls.Protocol
-			}
-			if ls.SessionAgeMS > prev.SessionAgeMS {
-				prev.SessionAgeMS = ls.SessionAgeMS
-			}
-			out[authority] = prev
-		}
-	}
-	for _, gw := range gws {
-		if d := gw.Dialer(); d != nil {
-			merge(d.WireStatsSnapshot())
-		}
-	}
-	if stream != nil {
-		merge(stream.dialer.WireStatsSnapshot())
-	}
-	if p != nil {
-		merge(p.WireStats())
-	}
-	return out
+	return f.dialer.WireStatsSnapshot()
 }
 
 // Peering returns the federation's inter-home peering layer. It errors
@@ -576,10 +536,12 @@ func (f *Federation) Health() map[string]vsg.Health {
 	return out
 }
 
-// Close stops the scene engine, PCMs, the change stream, gateways and the
-// repository, in that order: scenes first so no composition fires while
-// the services it calls are being torn down. A durable repository's WAL
-// is flushed but left unmarked; use Shutdown for the marked clean stop.
+// Close stops the scene engine, the peering, PCMs, the change stream,
+// gateways, the home's Dialer and the repository, in that order: scenes
+// first so no composition fires while the services it calls are being
+// torn down, and the Dialer once the gateways have unregistered their
+// exports over it. A durable repository's WAL is flushed but left
+// unmarked; use Shutdown for the marked clean stop.
 func (f *Federation) Close() { f.closeWith(false) }
 
 // Shutdown is Close plus a durable clean stop: once every mutator has
@@ -630,6 +592,7 @@ func (f *Federation) closeWith(clean bool) {
 	for _, n := range nets {
 		n.gw.Close()
 	}
+	f.dialer.Close()
 	if clean {
 		// Every mutator is quiet: the marker is genuinely the last record.
 		_ = f.vsrServer.Registry().Shutdown()

@@ -91,11 +91,11 @@ func newLink(p *Peering, urls []string) *Link {
 	url := urls[0]
 	remote := vsr.NewSet(urls...)
 	// Every wire op the link issues — watch rounds, snapshot reconciles —
-	// rides the peering's dialer: the binary fast path once the peer has
+	// rides the home's dialer: the binary fast path once the peer has
 	// negotiated a session, signed SOAP/HTTP otherwise. In open mode the
 	// credentials are inert and this degrades to the plain underlying
 	// transport (shared TCP, or an injected MemNet).
-	remote.SetDialer(p.dialerFor())
+	remote.SetDialer(p.dialer)
 	return &Link{
 		p:        p,
 		url:      url,
@@ -108,16 +108,11 @@ func newLink(p *Peering, urls []string) *Link {
 
 // Status returns a snapshot of the link's condition.
 func (l *Link) Status() Status {
-	l.p.mu.Lock()
-	d := l.p.dialer
-	l.p.mu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.st
 	st.Imported = len(l.imported)
-	if d != nil {
-		st.Proto = d.ProtocolFor(l.url)
-	}
+	st.Proto = l.p.dialer.ProtocolFor(l.url)
 	if st.Proto == "" && st.Connected {
 		st.Proto = "soap"
 	}
@@ -176,6 +171,11 @@ func (l *Link) run(ctx context.Context) {
 	for {
 		select {
 		case <-ctx.Done():
+			// Outlast the watch goroutine, so its last round is off the
+			// wire — and its link back in the home's pool — before stop
+			// returns and the owner closes the Dialer.
+			for range ch {
+			}
 			return
 		case d, ok := <-ch:
 			if !ok {

@@ -38,13 +38,12 @@ func newMemFixture(t *testing.T) *memFixture {
 		reg.SetClock(clock.Now)
 		srv := vsr.NewDetachedServer(name, reg, nil)
 		t.Cleanup(srv.Close)
-		p, err := New(name, reg, nil)
+		p, err := New(name, reg, nil, net.Dialer(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Close)
 		p.SetClock(clock)
-		p.SetTransport(net)
 		srv.MountPeer(p.ExportView)
 		net.Handle(name, srv.Handler())
 		return reg, srv, p

@@ -38,7 +38,6 @@ package peer
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,16 +67,10 @@ type Peering struct {
 	reg   *uddi.Server
 	auth  *identity.Auth
 	clock vclock.Clock
-	// rt, when set, carries link traffic instead of the shared TCP
-	// transport — the dialer seam a transport.MemNet plugs into.
-	rt http.RoundTripper
-	// dialer owns link credentials and per-peer protocol negotiation:
-	// watch rounds and reconciles ride the binary fast path to peers
-	// that negotiate it and signed HTTP to the rest. Built lazily on the
-	// first link so it sees the final rt; binaryOff records a
-	// SetBinaryEnabled(false) made before then.
-	dialer    *transport.Dialer
-	binaryOff bool
+	// dialer is the home's Dialer, shared with its other components: it
+	// owns link credentials, per-peer protocol negotiation and the
+	// transport. The peering never closes it.
+	dialer *transport.Dialer
 
 	mu        sync.Mutex
 	importTTL time.Duration
@@ -105,9 +98,12 @@ const denySeenLimit = 4096
 // "<home>/<id>"); registry is the home's own UDDI store, written
 // in-process by import links and served through the export face; auth is
 // the home's authentication context — it owns the export policy and
-// service ACL, and its identity (when installed) signs link traffic. A
-// nil auth gets a private open-mode context, the pre-identity behaviour.
-func New(home string, registry *uddi.Server, auth *identity.Auth) (*Peering, error) {
+// service ACL. A nil auth gets a private open-mode context, the
+// pre-identity behaviour. d is the home's Dialer, built from the same
+// auth: every import link's watch rounds and reconciles ride it, signed
+// and on the binary fast path where negotiated. A nil d links
+// anonymously over SOAP/HTTP.
+func New(home string, registry *uddi.Server, auth *identity.Auth, d *transport.Dialer) (*Peering, error) {
 	if home == "" {
 		return nil, fmt.Errorf("peer: a home must be named to federate (see NewHomeFederation)")
 	}
@@ -124,6 +120,7 @@ func New(home string, registry *uddi.Server, auth *identity.Auth) (*Peering, err
 		home:      home,
 		reg:       registry,
 		auth:      auth,
+		dialer:    d,
 		clock:     vclock.System,
 		importTTL: vsr.DefaultTTL,
 		links:     make(map[string]*Link),
@@ -138,49 +135,6 @@ func (p *Peering) SetClock(c vclock.Clock) {
 	if c != nil {
 		p.clock = c
 	}
-}
-
-// SetTransport routes subsequent links' wire traffic through rt instead
-// of the shared TCP transport; signing and verification still apply on
-// top. The simulation passes its transport.MemNet here. Call before
-// Peer; existing links keep their transport.
-func (p *Peering) SetTransport(rt http.RoundTripper) { p.rt = rt }
-
-// dialerFor returns the peering's shared link dialer, building it on
-// first use. Callers hold p.mu.
-func (p *Peering) dialerFor() *transport.Dialer {
-	if p.dialer == nil {
-		p.dialer = transport.NewDialer(p.auth)
-		p.dialer.Transport = p.rt
-		if p.binaryOff {
-			p.dialer.Binary = false
-		}
-	}
-	return p.dialer
-}
-
-// SetBinaryEnabled turns the binary fast path off (or back on) for this
-// home's import links; disabled, every round rides signed SOAP/HTTP.
-// Call alongside SetTransport, before Peer.
-func (p *Peering) SetBinaryEnabled(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.binaryOff = !on
-	if p.dialer != nil {
-		p.dialer.SetBinary(on)
-	}
-}
-
-// WireStats reports per-peer link protocol state (see
-// transport.WireStats); empty before the first link.
-func (p *Peering) WireStats() transport.WireStats {
-	p.mu.Lock()
-	d := p.dialer
-	p.mu.Unlock()
-	if d == nil {
-		return nil
-	}
-	return d.WireStatsSnapshot()
 }
 
 // SetRecorder installs the audit recorder peering decisions are reported
@@ -424,13 +378,8 @@ func (p *Peering) Close() {
 		links = append(links, l)
 	}
 	p.links = make(map[string]*Link)
-	d := p.dialer
-	p.dialer = nil
 	p.mu.Unlock()
 	for _, l := range links {
 		l.stop(false)
-	}
-	if d != nil {
-		d.Close()
 	}
 }

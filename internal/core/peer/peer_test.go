@@ -37,13 +37,13 @@ func TestPolicyAdmits(t *testing.T) {
 }
 
 func TestNewRejectsBadHomes(t *testing.T) {
-	if _, err := New("", nil, nil); err == nil {
+	if _, err := New("", nil, nil, nil); err == nil {
 		t.Error("empty home accepted")
 	}
-	if _, err := New("a/b", nil, nil); err == nil {
+	if _, err := New("a/b", nil, nil, nil); err == nil {
 		t.Error("home with scope separator accepted")
 	}
-	if _, err := New("a", nil, identity.NewAuth("b")); err == nil {
+	if _, err := New("a", nil, identity.NewAuth("b"), nil); err == nil {
 		t.Error("auth context for a different home accepted")
 	}
 }
@@ -64,7 +64,7 @@ func newHomeFixture(t *testing.T, name string) *home {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	p, err := New(name, srv.Registry(), nil)
+	p, err := New(name, srv.Registry(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,13 +34,12 @@ func newRestartFixture(t *testing.T) *restartFixture {
 	regA.SetClock(clock.Now)
 	srvA := vsr.NewDetachedServer("home-a", regA, nil)
 	t.Cleanup(srvA.Close)
-	pA, err := New("home-a", regA, nil)
+	pA, err := New("home-a", regA, nil, net.Dialer(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pA.Close)
 	pA.SetClock(clock)
-	pA.SetTransport(net)
 	net.Handle("home-a", srvA.Handler())
 
 	f.memFixture = &memFixture{clock: clock, net: net, regA: regA, pA: pA}
@@ -65,12 +64,11 @@ func (f *restartFixture) bootExporter() {
 		f.t.Fatalf("boot exporter: %v", err)
 	}
 	srv := vsr.NewDetachedServer("home-b", reg, nil)
-	p, err := New("home-b", reg, nil)
+	p, err := New("home-b", reg, nil, f.net.Dialer(nil))
 	if err != nil {
 		f.t.Fatal(err)
 	}
 	p.SetClock(f.clock)
-	p.SetTransport(f.net)
 	srv.MountPeer(p.ExportView)
 	f.net.Handle("home-b", srv.Handler())
 	f.regB, f.srvB = reg, srv
@@ -177,13 +175,12 @@ func TestNonDurableRestartForcesResync(t *testing.T) {
 	reg.SetClock(f.clock.Now)
 	srv := vsr.NewDetachedServer("home-b", reg, nil)
 	t.Cleanup(srv.Close)
-	p, err := New("home-b", reg, nil)
+	p, err := New("home-b", reg, nil, f.net.Dialer(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
 	p.SetClock(f.clock)
-	p.SetTransport(f.net)
 	srv.MountPeer(p.ExportView)
 	f.net.Handle("home-b", srv.Handler())
 	entry, err := vsr.EntryFor(testDesc("havi:dvcam-1"), "http://home-b/soap")

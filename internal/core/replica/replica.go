@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -59,11 +58,11 @@ type Config struct {
 	// ReplicaOf, when set, forces the node to boot as a replica of that
 	// endpoint instead of probing the set for a leader.
 	ReplicaOf string
-	// Dialer, when set, carries inter-node traffic over the session-keyed
-	// binary fast path.
+	// Dialer carries inter-node traffic — the member's home Dialer, so
+	// status probes, state transfers and feeds are signed as the home and
+	// ride the binary fast path where negotiated. Nil means anonymous
+	// SOAP/HTTP over the shared transport.
 	Dialer *transport.Dialer
-	// HTTP overrides the HTTP client for inter-node traffic.
-	HTTP *http.Client
 	// Recorder, when set, receives replica.attach / replica.promote
 	// audit events (replaceable later via SetRecorder).
 	Recorder audit.Recorder
@@ -146,7 +145,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{cfg: cfg, recorder: cfg.Recorder, clients: make(map[string]*uddi.Client, len(cfg.Set))}
 	for _, ep := range cfg.Set {
-		n.clients[ep] = &uddi.Client{URL: ep, Dialer: cfg.Dialer, HTTP: cfg.HTTP}
+		n.clients[ep] = &uddi.Client{URL: ep, Dialer: cfg.Dialer}
 	}
 	return n, nil
 }
@@ -155,7 +154,7 @@ func (n *Node) client(ep string) *uddi.Client {
 	if c, ok := n.clients[ep]; ok {
 		return c
 	}
-	c := &uddi.Client{URL: ep, Dialer: n.cfg.Dialer, HTTP: n.cfg.HTTP}
+	c := &uddi.Client{URL: ep, Dialer: n.cfg.Dialer}
 	n.clients[ep] = c
 	return c
 }

@@ -76,7 +76,7 @@ func testSet(t *testing.T, n int) (*transport.MemNet, []*member) {
 			Self:        urls[i],
 			Set:         urls,
 			Registry:    reg,
-			HTTP:        mem.Client(),
+			Dialer:      mem.Dialer(nil),
 			Recorder:    sink,
 			PollTimeout: time.Millisecond,
 			RetryDelay:  time.Millisecond,
@@ -116,7 +116,7 @@ func boot(t *testing.T, members []*member) {
 
 func save(t *testing.T, mem *transport.MemNet, url, key string) {
 	t.Helper()
-	c := &uddi.Client{URL: url, HTTP: mem.Client()}
+	c := &uddi.Client{URL: url, Dialer: mem.Dialer(nil)}
 	e := uddi.Entry{Key: key, Name: key, AccessPoint: "http://x/soap", TModel: "IFace"}
 	if _, err := c.Save(context.Background(), e, time.Hour); err != nil {
 		t.Fatalf("save %s to %s: %v", key, url, err)
@@ -256,7 +256,7 @@ func TestFailoverScenarios(t *testing.T) {
 			t.Fatal("deposed leader kept serving writes after the epoch sweep")
 		}
 		// Its write face now redirects to the real leader.
-		c := &uddi.Client{URL: ms[0].url, HTTP: mem.Client()}
+		c := &uddi.Client{URL: ms[0].url, Dialer: mem.Dialer(nil)}
 		_, err = c.Save(ctx, uddi.Entry{Key: "uuid:x", Name: "x", AccessPoint: "a", TModel: "T"}, time.Hour)
 		if !errors.Is(err, uddi.ErrNotLeader) {
 			t.Fatalf("write to deposed leader: err = %v, want ErrNotLeader", err)
@@ -361,7 +361,7 @@ func TestFailoverScenarios(t *testing.T) {
 		save(t, mem, ms[0].url, "uuid:doomed")
 		pull(t, ms[1])
 		// The leader deletes while the replica is detached.
-		c := &uddi.Client{URL: ms[0].url, HTTP: mem.Client()}
+		c := &uddi.Client{URL: ms[0].url, Dialer: mem.Dialer(nil)}
 		if err := c.Delete(ctx, "uuid:doomed"); err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func TestLoserFollowsWithoutReground(t *testing.T) {
 
 	// An importer that consumed the old leader's full journal: cursor 6
 	// under epoch 1.
-	c0 := &uddi.Client{URL: ms[0].url, HTTP: mem.Client()}
+	c0 := &uddi.Client{URL: ms[0].url, Dialer: mem.Dialer(nil)}
 	_, cursor, cursorEpoch, resync, err := c0.WatchEpoch(ctx, 0, 0, time.Millisecond)
 	if err != nil || resync || cursor != 6 || cursorEpoch != 1 {
 		t.Fatalf("importer baseline: cursor %d epoch %d resync %v err %v", cursor, cursorEpoch, resync, err)
@@ -436,7 +436,7 @@ func TestLoserFollowsWithoutReground(t *testing.T) {
 	// boundary replay on both, resync on neither, and the new regime's
 	// write arrives.
 	for _, m := range ms[1:] {
-		c := &uddi.Client{URL: m.url, HTTP: mem.Client()}
+		c := &uddi.Client{URL: m.url, Dialer: mem.Dialer(nil)}
 		changes, next, nextEpoch, resync, err := c.WatchEpoch(ctx, cursor, cursorEpoch, time.Millisecond)
 		if err != nil {
 			t.Fatalf("resume on %s: %v", m.host, err)
@@ -472,7 +472,7 @@ func TestWatchCursorSurvivesFailover(t *testing.T) {
 	pull(t, ms[1])
 
 	// An importer watching the old leader stops at cursor 2.
-	c0 := &uddi.Client{URL: ms[0].url, HTTP: mem.Client()}
+	c0 := &uddi.Client{URL: ms[0].url, Dialer: mem.Dialer(nil)}
 	changes, next, resync, err := c0.Watch(ctx, 0, time.Millisecond)
 	if err != nil || resync || len(changes) != 4 {
 		t.Fatalf("watch on old leader: %d changes resync %v err %v", len(changes), resync, err)
@@ -486,7 +486,7 @@ func TestWatchCursorSurvivesFailover(t *testing.T) {
 
 	// Resume the same cursor against the survivor: the tail replays, no
 	// resync, nothing re-imported from scratch.
-	c1 := &uddi.Client{URL: ms[1].url, HTTP: mem.Client()}
+	c1 := &uddi.Client{URL: ms[1].url, Dialer: mem.Dialer(nil)}
 	changes, next2, resync, err := c1.Watch(ctx, cursor, time.Millisecond)
 	if err != nil || resync {
 		t.Fatalf("watch resume on survivor: resync %v err %v", resync, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"homeconnect/internal/core/identity"
 	"homeconnect/internal/core/vsg"
 	"homeconnect/internal/core/vsr"
 	"homeconnect/internal/transport"
@@ -15,10 +14,9 @@ import (
 // the federation watches its repository once and hands every delta, in
 // stream order, to each gateway it owns, instead of each gateway
 // long-polling the same journal for itself. It rides a repository client
-// of its own over one transport.Dialer built from the home's auth — the
-// path the gateways' own clients take, binary negotiation included.
+// of its own over the home's Dialer — the one the gateways' clients
+// take, binary negotiation included.
 type changeStream struct {
-	dialer *transport.Dialer
 	cancel context.CancelFunc
 	done   chan struct{}
 
@@ -34,20 +32,18 @@ type changeStream struct {
 	downErr error
 }
 
-// startChangeStream opens the stream on the repository at url.
-func startChangeStream(url string, auth *identity.Auth, binary bool) (*changeStream, error) {
-	d := transport.NewDialer(auth)
-	d.SetBinary(binary)
+// startChangeStream opens the stream on the repository at url over d,
+// which stays its owner's to close.
+func startChangeStream(url string, d *transport.Dialer) (*changeStream, error) {
 	v := vsr.New(url)
 	v.SetDialer(d)
 	ctx, cancel := context.WithCancel(context.Background())
 	ch, err := v.Watch(ctx, 0)
 	if err != nil {
 		cancel()
-		d.Close()
 		return nil, fmt.Errorf("core: repository change stream: %w", err)
 	}
-	s := &changeStream{dialer: d, cancel: cancel, done: make(chan struct{})}
+	s := &changeStream{cancel: cancel, done: make(chan struct{})}
 	go s.run(ch)
 	return s, nil
 }
@@ -93,5 +89,4 @@ func (s *changeStream) join(gw *vsg.VSG) {
 func (s *changeStream) close() {
 	s.cancel()
 	<-s.done
-	s.dialer.Close()
 }

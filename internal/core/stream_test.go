@@ -389,7 +389,13 @@ func TestFederationCloseDuringWriteBurst(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	waitNoStreamGoroutines(t)
+}
 
+// waitNoStreamGoroutines fails unless every change-stream and watch-loop
+// goroutine exits within a few seconds.
+func waitNoStreamGoroutines(t *testing.T) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		buf := make([]byte, 1<<20)

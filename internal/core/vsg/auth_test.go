@@ -20,9 +20,11 @@ import (
 // repository plus one gateway.
 type authHome struct {
 	auth *identity.Auth
-	id   *identity.Identity
-	srv  *vsr.Server
-	gw   *VSG
+	// dialer is the home's one outbound Dialer, shared by its gateways.
+	dialer *transport.Dialer
+	id     *identity.Identity
+	srv    *vsr.Server
+	gw     *VSG
 }
 
 func newAuthHome(t *testing.T, home string) *authHome {
@@ -40,14 +42,17 @@ func newAuthHome(t *testing.T, home string) *authHome {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
+	d := transport.NewDialer(auth)
+	t.Cleanup(d.Close)
 	gw := New(home+"-net", srv.URL())
 	gw.SetHome(home)
 	gw.SetAuth(auth)
+	gw.SetDialer(d)
 	if err := gw.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(gw.Close)
-	return &authHome{auth: auth, id: id, srv: srv, gw: gw}
+	return &authHome{auth: auth, dialer: d, id: id, srv: srv, gw: gw}
 }
 
 func echoExport(t *testing.T, gw *VSG, id, answer string) {
@@ -116,7 +121,7 @@ func TestCrossHomeCallAuthenticated(t *testing.T) {
 	if err := xauth.Trust("home-a", a.id.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	strange := &soap.Client{URL: remote.Endpoint, HTTP: transport.NewDialer(xauth).HTTPClient()}
+	strange := &soap.Client{URL: remote.Endpoint, Dialer: &transport.Dialer{Creds: xauth}}
 	if _, err := strange.Call(ctx, Namespace("test:svc")+"#Where", call); !errors.Is(err, service.ErrUnauthenticated) {
 		t.Errorf("untrusted-home gateway call: %v, want ErrUnauthenticated", err)
 	}
@@ -181,6 +186,7 @@ func TestLoopbackWireAuthEquivalence(t *testing.T) {
 	gw2 := New("home-a-net2", h.srv.URL())
 	gw2.SetHome("home-a")
 	gw2.SetAuth(h.auth)
+	gw2.SetDialer(h.dialer)
 	if err := gw2.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

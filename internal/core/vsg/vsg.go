@@ -93,25 +93,18 @@ type VSG struct {
 	hub  *events.Hub
 
 	// auth is the home's authentication context (nil = open mode
-	// forever); set before Start. authHTTP is the credential-signing
-	// client outbound SOAP and repository traffic rides when auth is
-	// live.
-	auth     *identity.Auth
-	authHTTP *http.Client
-	// dialer owns outbound protocol negotiation when auth is live:
-	// repository traffic and cross-home calls try the binary fast path
-	// and degrade to signed SOAP/HTTP per authority. Rebuilt alongside
-	// authHTTP; nil in open mode.
+	// forever); set before Start. It guards the inbound faces.
+	auth *identity.Auth
+	// dialer carries all outbound traffic — repository operations and
+	// cross-home calls — under the home's credentials, trying the binary
+	// fast path and degrading to signed SOAP/HTTP per authority. It
+	// belongs to whoever set it (SetDialer); nil is anonymous SOAP/HTTP.
 	dialer *transport.Dialer
 	// bin is the inbound binary face sharing the listener with HTTP
 	// (nil in open mode; inert on detached gateways). binaryOff records
 	// SetBinaryEnabled(false) calls made before Start builds bin.
 	bin       *transport.BinServer
 	binaryOff bool
-	// rt, when set (SetTransport), carries all outbound wire traffic
-	// instead of the shared TCP transport — the dialer seam a
-	// transport.MemNet plugs into.
-	rt http.RoundTripper
 	// clock is the gateway's time source (SetClock); refresh cadence and
 	// cache-expiry stamps follow it.
 	clock vclock.Clock
@@ -208,16 +201,6 @@ func (g *VSG) SetClock(c vclock.Clock) {
 	}
 }
 
-// SetTransport routes the gateway's outbound wire traffic — repository
-// operations and cross-home SOAP — through rt instead of the shared TCP
-// transport; credential signing still applies on top. The simulation
-// passes its transport.MemNet here. Call before Start and before
-// SetAuth takes effect on traffic.
-func (g *VSG) SetTransport(rt http.RoundTripper) {
-	g.rt = rt
-	g.rebuildHTTP()
-}
-
 // Name returns the gateway's network name.
 func (g *VSG) Name() string { return g.name }
 
@@ -239,55 +222,30 @@ func (g *VSG) Home() string { return g.home }
 
 // SetAuth installs the home's authentication context; call before
 // Start. From then on (whenever the context has an identity — it may
-// gain one later, no restart needed) the gateway signs its outbound
-// traffic — repository registration/resolution/watch and cross-home SOAP
-// calls — verifies response signatures, requires a trusted caller
-// identity on its inbound SOAP and event faces, and enforces the export
-// policy plus service ACL on calls arriving from other homes. The
+// gain one later, no restart needed) the gateway requires a trusted
+// caller identity on its inbound SOAP and event faces, serves the
+// binary face to session-keyed callers, and enforces the export policy
+// plus service ACL on calls arriving from other homes. Outbound signing
+// belongs to the Dialer (SetDialer) built from the same context. The
 // in-process loopback fast path is untouched: a loopback call never
 // leaves the home, and its authorization check is the same nil-fast
 // pointer test the wire path uses.
-func (g *VSG) SetAuth(a *identity.Auth) {
-	g.auth = a
-	g.rebuildHTTP()
-}
+func (g *VSG) SetAuth(a *identity.Auth) { g.auth = a }
 
-// rebuildHTTP derives the outbound client from the auth context and the
-// injected transport. With neither set it stays nil: the SOAP client
-// and the repository client fall back to their own shared-transport
-// defaults, the original behaviour.
-func (g *VSG) rebuildHTTP() {
-	if g.dialer != nil {
-		g.dialer.Close()
-		g.dialer = nil
-	}
-	switch {
-	case g.auth != nil:
-		// The Dialer owns credentials and per-authority protocol
-		// negotiation; its HTTP side is the credential-signing client.
-		g.dialer = transport.NewDialer(g.auth)
-		g.dialer.Transport = g.rt
-		if g.binaryOff {
-			g.dialer.Binary = false
-		}
-		g.authHTTP = g.dialer.HTTPClient()
-	case g.rt != nil:
-		g.authHTTP = &http.Client{Transport: g.rt}
-	default:
-		g.authHTTP = nil
-	}
-	if g.dialer != nil {
-		g.vsr.SetDialer(g.dialer)
-	} else if g.authHTTP != nil {
-		g.vsr.SetHTTPClient(g.authHTTP)
-	}
+// SetDialer installs the Dialer all outbound traffic rides: repository
+// registration, resolution and watch, and cross-home SOAP calls. A home
+// hands every gateway its one Dialer; the gateway never closes it. Call
+// before Start. Without one, traffic is anonymous SOAP/HTTP over the
+// shared transport.
+func (g *VSG) SetDialer(d *transport.Dialer) {
+	g.dialer = d
+	g.vsr.SetDialer(d)
 }
 
 // Auth returns the gateway's authentication context (nil in open mode).
 func (g *VSG) Auth() *identity.Auth { return g.auth }
 
-// Dialer returns the gateway's outbound dialer (nil in open mode) — the
-// federation assembler reads per-link wire protocol stats from it.
+// Dialer returns the gateway's outbound dialer (nil until SetDialer).
 func (g *VSG) Dialer() *transport.Dialer { return g.dialer }
 
 // SetAudit installs the home's audit log: it backs the gateway's /audit
@@ -371,16 +329,13 @@ func (g *VSG) SetLoopbackEnabled(on bool) {
 	g.loopbackOff.Store(!on)
 }
 
-// SetBinaryEnabled turns the binary fast path off (or back on) for this
-// gateway, both directions: outbound calls stop offering the handshake
-// and inbound hellos are refused, so every exchange rides signed
-// SOAP/HTTP — the vsgd -binary=false flag and the SOAP-only home of a
-// mixed-mode federation. Default on whenever auth is live.
+// SetBinaryEnabled turns the inbound binary face off (or back on):
+// hellos are refused, so every caller rides signed SOAP/HTTP. Default on
+// whenever auth is live. Outbound negotiation is the Dialer owner's
+// switch (transport.Dialer.SetBinary); vsgd -binary=false and a
+// SOAP-only federation turn both off.
 func (g *VSG) SetBinaryEnabled(on bool) {
 	g.binaryOff = !on
-	if g.dialer != nil {
-		g.dialer.SetBinary(on && g.auth != nil)
-	}
 	if g.bin != nil {
 		g.bin.SetEnabled(on)
 	}
@@ -555,9 +510,6 @@ func (g *VSG) Close() {
 	}
 	if g.bin != nil {
 		g.bin.Close()
-	}
-	if g.dialer != nil {
-		g.dialer.Close()
 	}
 	if g.httpS != nil {
 		_ = g.httpS.Close()
@@ -896,11 +848,10 @@ func (g *VSG) CallRemote(ctx context.Context, remote vsr.Remote, op string, args
 	for i, p := range opSpec.Inputs {
 		call.Args = append(call.Args, soap.Arg{Name: p.Name, Value: args[i]})
 	}
-	// g.authHTTP (nil in open mode, letting the client fall back to the
-	// shared transport) signs the envelope headers with this home's
-	// identity, so the target home knows who is calling. The dialer, when
-	// live, first offers the binary fast path to the target's authority.
-	client := &soap.Client{URL: remote.Endpoint, HTTP: g.authHTTP, Dialer: g.dialer}
+	// The dialer signs the call with this home's identity, so the target
+	// home knows who is calling, and first offers the binary fast path
+	// to the target's authority.
+	client := &soap.Client{URL: remote.Endpoint, Dialer: g.dialer}
 	return client.Call(ctx, Namespace(remote.Desc.ID)+"#"+op, call)
 }
 

@@ -242,7 +242,7 @@ func newDetachedRig(t *testing.T) *detachedRig {
 
 	gw := New("net1", srv.URL())
 	gw.SetClock(vc)
-	gw.SetTransport(mnet)
+	gw.SetDialer(mnet.Dialer(nil))
 	gw.StartDetached("gw-net1")
 	t.Cleanup(gw.Close)
 	return &detachedRig{vc: vc, net: mnet, reg: reg, gw: gw}

@@ -61,11 +61,11 @@ func newAuthFixture(t *testing.T) *authFixture {
 }
 
 // client builds a VSR client for the registry face signed by the given
-// context (nil = unsigned).
+// context (nil = unsigned), over SOAP/HTTP only.
 func (f *authFixture) client(url string, as *identity.Auth) *VSR {
 	v := New(url)
 	if as != nil {
-		v.SetHTTPClient(transport.NewDialer(as).HTTPClient())
+		v.SetDialer(&transport.Dialer{Creds: as})
 	}
 	return v
 }

@@ -85,21 +85,13 @@ func NewSet(urls ...string) *VSR {
 	}
 }
 
-// SetHTTPClient replaces the underlying HTTP client — how gateways and
-// peer links route repository traffic through a credential-signing
-// client (a transport.Dialer's HTTPClient) when their home has an identity. Call
-// before the first request.
-func (v *VSR) SetHTTPClient(c *http.Client) { v.client.HTTP = c }
-
-// SetDialer routes repository traffic through a transport.Dialer, which
-// owns credentials and protocol negotiation: requests ride the binary
-// fast path once the registry's authority has negotiated it and fall
-// back to signed HTTP otherwise. Call before the first request;
-// supersedes SetHTTPClient.
-func (v *VSR) SetDialer(d *transport.Dialer) {
-	v.client.Dialer = d
-	v.client.HTTP = nil
-}
+// SetDialer routes repository traffic through a transport.Dialer — the
+// home's, for gateways, the change stream and peer links — which owns
+// credentials, protocol negotiation and transport: requests ride the
+// binary fast path once the registry's authority has negotiated it and
+// fall back to signed HTTP otherwise. Call before the first request;
+// without one, traffic is anonymous over the shared transport.
+func (v *VSR) SetDialer(d *transport.Dialer) { v.client.Dialer = d }
 
 // TTL returns the registration lifetime used by Register.
 func (v *VSR) TTL() time.Duration { return v.ttl }

@@ -66,6 +66,10 @@ type replicaSet struct {
 
 	writes *uddi.Client
 	reads  *uddi.Client
+	// dialer carries every member's inter-node and import traffic and
+	// the workload clients': the members run without an identity, so it
+	// is anonymous, over the simulated network.
+	dialer *transport.Dialer
 	// rng draws the read stream; separate from the per-home workload
 	// rngs so arming reads cannot shift any other schedule.
 	rng *rand.Rand
@@ -74,7 +78,7 @@ type replicaSet struct {
 func (s *Sim) replicated(h *home) bool { return s.repl != nil && h.idx == 0 }
 
 // nodeConfig is the shared shape of every coordination node in the set:
-// virtual clock, memnet transport, and a millisecond poll so an empty
+// virtual clock, the set's memnet dialer, and a millisecond poll so an empty
 // feed round cannot stall the single-threaded event loop.
 func (s *Sim) nodeConfig(self string, reg *uddi.Server, replicaOf string) replica.Config {
 	return replica.Config{
@@ -82,7 +86,7 @@ func (s *Sim) nodeConfig(self string, reg *uddi.Server, replicaOf string) replic
 		Set:         s.repl.set,
 		Registry:    reg,
 		ReplicaOf:   replicaOf,
-		HTTP:        s.net.Client(),
+		Dialer:      s.repl.dialer,
 		Clock:       s.clock,
 		PollTimeout: time.Millisecond,
 		RetryDelay:  time.Millisecond,
@@ -102,6 +106,7 @@ func (s *Sim) buildReplicas() error {
 		set:      set,
 		stations: map[string]station{set[0]: h0},
 		rng:      rand.New(rand.NewSource(s.seed<<16 ^ 0x7ead)),
+		dialer:   s.net.Dialer(nil),
 	}
 	s.repl = rs
 
@@ -122,12 +127,11 @@ func (s *Sim) buildReplicas() error {
 		// home 0's name: importers that fail over here must see the same
 		// exporter they were peered with.
 		m.srv = vsr.NewDetachedServer(h0.name, reg, nil)
-		p, err := peer.New(h0.name, reg, nil)
+		p, err := peer.New(h0.name, reg, nil, rs.dialer)
 		if err != nil {
 			return fmt.Errorf("replica peering %s: %w", name, err)
 		}
 		p.SetClock(s.clock)
-		p.SetTransport(s.net)
 		p.SetImportTTL(s.scn.Duration + time.Hour)
 		m.peering = p
 		m.srv.MountPeer(p.ExportView)
@@ -146,8 +150,8 @@ func (s *Sim) buildReplicas() error {
 		return fmt.Errorf("leader node %s: %w", h0.name, err)
 	}
 	rs.lead = lead
-	rs.writes = &uddi.Client{HTTP: s.net.Client(), Resolver: transport.NewResolver(set...)}
-	rs.reads = &uddi.Client{HTTP: s.net.Client(), Resolver: transport.NewResolver(set...)}
+	rs.writes = &uddi.Client{Dialer: rs.dialer, Resolver: transport.NewResolver(set...)}
+	rs.reads = &uddi.Client{Dialer: rs.dialer, Resolver: transport.NewResolver(set...)}
 	return nil
 }
 

@@ -322,12 +322,17 @@ func (s *Sim) bootHome(h *home) error {
 	}
 
 	h.srv = vsr.NewDetachedServer(h.name, h.reg, h.auth)
-	p, err := peer.New(h.name, h.reg, h.auth)
+	// The home's dialer rides the simulated network; a home without an
+	// identity dials anonymously.
+	d := s.net.Dialer(nil)
+	if h.auth != nil {
+		d = s.net.Dialer(h.auth)
+	}
+	p, err := peer.New(h.name, h.reg, h.auth, d)
 	if err != nil {
 		return err
 	}
 	p.SetClock(s.clock)
-	p.SetTransport(s.net)
 	p.SetImportTTL(s.scn.Duration + time.Hour)
 	if h.log != nil {
 		p.SetRecorder(audit.WithFace(h.log, "peer", h.name))

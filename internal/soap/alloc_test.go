@@ -6,9 +6,13 @@
 package soap
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"homeconnect/internal/core/identity"
 	"homeconnect/internal/service"
+	"homeconnect/internal/transport"
 )
 
 func guardAllocs(t *testing.T, name string, limit float64, fn func()) {
@@ -66,4 +70,45 @@ func TestDecodeResponseAllocs(t *testing.T) {
 			t.Fatalf("%v %v", fault, err)
 		}
 	})
+}
+
+// TestIneligibleBinaryAttemptAllocs pins the cost of a binary attempt
+// the Dialer cannot run at zero: the call must not be encoded before the
+// Dialer is ready for the authority. Open mode (credentials without an
+// identity, the gateways of every open-mode federation) and an authority
+// waiting out its SOAP re-probe window are both ineligible.
+func TestIneligibleBinaryAttemptAllocs(t *testing.T) {
+	call := Call{
+		Namespace: "urn:homeconnect:bench:svc",
+		Operation: "SetLevel",
+		Args:      []Arg{{Name: "level", Value: service.IntValue(42)}},
+	}
+	id, err := identity.Generate("home-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := identity.NewAuth("home-a")
+	if err := armed.SetIdentity(id); err != nil {
+		t.Fatal(err)
+	}
+	// A memory network has no socket and this authority no in-process
+	// binary endpoint: the first attempt fails to negotiate and opens
+	// the re-probe window.
+	reprobe := transport.NewMemNet().Dialer(armed)
+	for name, d := range map[string]*transport.Dialer{
+		"open":    transport.NewDialer(identity.NewAuth("home-a")),
+		"reprobe": reprobe,
+		"nil":     nil,
+	} {
+		c := &Client{URL: "http://nowhere.test/services/bench:svc", Dialer: d}
+		guardAllocs(t, name, 0, func() {
+			_, err := c.callBinary(context.Background(), "urn:homeconnect:bench:svc#SetLevel", call)
+			if !errors.Is(err, transport.ErrBinaryUnavailable) {
+				t.Fatalf("%s: callBinary = %v, want ErrBinaryUnavailable", name, err)
+			}
+		})
+	}
+	if got := reprobe.ProtocolFor("http://nowhere.test/"); got != "soap" {
+		t.Fatalf("reprobe dialer protocol %q, want soap", got)
+	}
 }

@@ -19,44 +19,28 @@ import (
 const MaxEnvelopeBytes = 1 << 20
 
 // Client issues SOAP calls over HTTP, the binding used between Virtual
-// Service Gateways. With a Dialer set, calls first try the binary fast
-// path to the endpoint's authority and fall back to SOAP/HTTP when the
-// authority has not negotiated it.
+// Service Gateways. Calls first try the binary fast path to the
+// endpoint's authority when the Dialer is ready for it, and fall back to
+// SOAP/HTTP over the Dialer's HTTP side.
 type Client struct {
-	// HTTP is the underlying client; the Dialer's HTTP side when a
-	// Dialer is set, else the shared keep-alive transport.
-	HTTP *http.Client
-	// Dialer, when set, owns protocol negotiation: Call attempts the
-	// binary framing first and degrades to the SOAP/HTTP path on
-	// ErrBinaryUnavailable.
+	// Dialer carries the call: credentials, protocol negotiation and
+	// transport. Nil means anonymous SOAP/HTTP over the shared
+	// transport.
 	Dialer *transport.Dialer
 	// URL is the endpoint the envelope is POSTed to.
 	URL string
-}
-
-// httpClient returns the effective *http.Client.
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	if c.Dialer != nil {
-		return c.Dialer.HTTPClient()
-	}
-	return transport.Client()
 }
 
 // Call POSTs the request envelope with the given SOAPAction and decodes the
 // result. A remote fault is surfaced as a *service.RemoteError so that
 // sentinel errors survive the protocol boundary.
 func (c *Client) Call(ctx context.Context, soapAction string, call Call) (service.Value, error) {
-	if c.Dialer != nil {
-		v, err := c.callBinary(ctx, soapAction, call)
-		if !errors.Is(err, transport.ErrBinaryUnavailable) {
-			return v, err
-		}
-		// Never negotiated, or downgraded mid-session: the identical
-		// call re-encodes onto the SOAP path below.
+	v, err := c.callBinary(ctx, soapAction, call)
+	if !errors.Is(err, transport.ErrBinaryUnavailable) {
+		return v, err
 	}
+	// Not ready, never negotiated, or downgraded mid-session: the
+	// identical call re-encodes onto the SOAP path below.
 	body, err := EncodeCall(call)
 	if err != nil {
 		return service.Value{}, err
@@ -67,7 +51,7 @@ func (c *Client) Call(ctx context.Context, soapAction string, call Call) (servic
 	}
 	req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
 	req.Header.Set("SOAPAction", `"`+soapAction+`"`)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.Dialer.HTTPClient().Do(req)
 	if err != nil {
 		return service.Value{}, fmt.Errorf("soap: %w: %w", service.ErrUnavailable, err)
 	}
@@ -94,8 +78,12 @@ func (c *Client) Call(ctx context.Context, soapAction string, call Call) (servic
 // callBinary runs one call over the binary fast path. An
 // ErrBinaryUnavailable return means "not negotiated — use SOAP"; every
 // other outcome (result, remote fault, context cancellation) is final
-// and classified exactly as the HTTP path would classify it.
+// and classified exactly as the HTTP path would classify it. The call is
+// encoded only once the Dialer is ready for the authority.
 func (c *Client) callBinary(ctx context.Context, soapAction string, call Call) (service.Value, error) {
+	if !c.Dialer.Ready(c.URL) {
+		return service.Value{}, transport.ErrBinaryUnavailable
+	}
 	body, err := EncodeBinCall(call)
 	if err != nil {
 		return service.Value{}, err

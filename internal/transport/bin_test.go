@@ -457,3 +457,28 @@ func TestBinServerRequestBeforeHandshake(t *testing.T) {
 		t.Fatalf("pre-handshake request answered %q %v, want %q", code, err, binErrBad)
 	}
 }
+
+// TestNilDialerIsAnonymous holds a nil *Dialer to its documented
+// behaviour — anonymous SOAP/HTTP over the shared client, never the
+// binary fast path, no stats — since every client treats a missing
+// Dialer as exactly that.
+func TestNilDialerIsAnonymous(t *testing.T) {
+	var d *Dialer
+	const url = "http://nil.test:1/uddi"
+	if d.HTTPClient() != Client() {
+		t.Error("nil dialer's HTTP side is not the shared client")
+	}
+	if d.Ready(url) {
+		t.Error("nil dialer reports ready for the binary fast path")
+	}
+	if _, err := d.Exchange(context.Background(), url, "application/x-test", "", []byte("x")); !errors.Is(err, ErrBinaryUnavailable) {
+		t.Errorf("nil dialer Exchange = %v, want ErrBinaryUnavailable", err)
+	}
+	if ws := d.WireStatsSnapshot(); len(ws) != 0 {
+		t.Errorf("nil dialer stats %v, want empty", ws)
+	}
+	if p := d.ProtocolFor(url); p != "" {
+		t.Errorf("nil dialer protocol %q, want none", p)
+	}
+	d.Close()
+}

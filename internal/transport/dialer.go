@@ -10,7 +10,11 @@
 //   - the MemNet seam: a custom RoundTripper carries the HTTP path, and
 //     confines binary negotiation to in-process authorities.
 //
-// soap, uddi, events, upnp and peer clients take a *Dialer. Client()
+// One Dialer serves one principal: a home builds one and hands it to
+// every component that talks on the home's behalf, so they share one
+// link pool, one negotiation state per authority and one set of wire
+// stats. soap, uddi and vsr clients take a *Dialer and no other seam; a
+// nil *Dialer is anonymous SOAP/HTTP over the shared transport. Client()
 // remains only for the perfbench module, which holds no Dialer.
 package transport
 
@@ -21,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"time"
 )
@@ -76,7 +81,10 @@ type WireStats map[string]LinkStats
 // Dialer owns credentials, protocol negotiation and the transport seam
 // for one principal (usually one home). Configure fields before first
 // use; the zero value is an anonymous, SOAP-only dialer over the shared
-// TCP transport.
+// TCP transport. A nil *Dialer behaves the same way: HTTPClient returns
+// Client(), Exchange reports ErrBinaryUnavailable, and its stats are
+// empty. Whoever builds a Dialer closes it; components handed one never
+// do.
 type Dialer struct {
 	// Creds signs SOAP/HTTP requests per-operation and verifies
 	// response signatures; nil or inactive means plain HTTP (open
@@ -144,6 +152,9 @@ func (d *Dialer) setClock(now func() time.Time) {
 // signing when credentials are present, over Transport or the shared
 // keep-alive transport. The client is built once and reused.
 func (d *Dialer) HTTPClient() *http.Client {
+	if d == nil {
+		return client
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.httpC != nil {
@@ -172,10 +183,46 @@ func (d *Dialer) SetBinary(on bool) {
 
 // binaryEligible reports whether fast-path negotiation is even possible.
 func (d *Dialer) binaryEligible() bool {
+	if d == nil {
+		return false
+	}
 	d.mu.Lock()
 	on := d.Binary
 	d.mu.Unlock()
 	return on && d.Session != nil && d.Session.SessionActive()
+}
+
+// Ready reports whether Exchange would try the fast path to rawURL's
+// authority now: binary is on, the credentials can key a session, and
+// the authority is not waiting out a SOAP re-probe window. Callers ask
+// before encoding a binary body, so an attempt that cannot run costs
+// nothing; Exchange still checks for itself.
+func (d *Dialer) Ready(rawURL string) bool {
+	if !d.binaryEligible() {
+		return false
+	}
+	authority, ok := authorityOf(rawURL)
+	if !ok {
+		return false
+	}
+	now := d.now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.links[authority]
+	return st == nil || st.mode != modeSOAP || !now.Before(st.retryAt)
+}
+
+// authorityOf returns the "host:port" of an absolute URL without
+// allocating.
+func authorityOf(rawURL string) (string, bool) {
+	_, rest, ok := strings.Cut(rawURL, "://")
+	if !ok {
+		return "", false
+	}
+	if i := strings.IndexAny(rest, "/?#"); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest, rest != ""
 }
 
 // link returns (creating if needed) the state for an authority.
@@ -385,13 +432,13 @@ func (d *Dialer) noteRekey(st *linkState) {
 // ProtocolFor reports the negotiated protocol for a URL's authority:
 // "binary", "soap", or "" when the authority has never been dialed.
 func (d *Dialer) ProtocolFor(rawURL string) string {
-	u, err := url.Parse(rawURL)
-	if err != nil || u.Host == "" {
+	authority, ok := authorityOf(rawURL)
+	if d == nil || !ok {
 		return ""
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := d.links[u.Host]
+	st := d.links[authority]
 	if st == nil {
 		return ""
 	}
@@ -406,6 +453,9 @@ func (d *Dialer) ProtocolFor(rawURL string) string {
 
 // WireStatsSnapshot reports every dialed authority's link state.
 func (d *Dialer) WireStatsSnapshot() WireStats {
+	if d == nil {
+		return nil
+	}
 	now := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -426,6 +476,9 @@ func (d *Dialer) WireStatsSnapshot() WireStats {
 
 // Close drops every pooled link, ending their sessions.
 func (d *Dialer) Close() {
+	if d == nil {
+		return
+	}
 	d.mu.Lock()
 	var all []*binLink
 	for _, st := range d.links {

@@ -18,8 +18,8 @@ import (
 
 // MemNet is an in-process HTTP network. Register each simulated host's
 // root handler with Handle; requests to "http://<host>/..." issued
-// through Client (or any http.Client over the MemNet as Transport) are
-// served synchronously by that handler.
+// through a Dialer from Dialer (or any http.Client over the MemNet as
+// Transport) are served synchronously by that handler.
 type MemNet struct {
 	mu    sync.RWMutex
 	hosts map[string]http.Handler
@@ -41,11 +41,6 @@ func (m *MemNet) Handle(host string, h http.Handler) {
 		return
 	}
 	m.hosts[host] = h
-}
-
-// Client returns an http.Client whose round trips ride this network.
-func (m *MemNet) Client() *http.Client {
-	return &http.Client{Transport: m}
 }
 
 // Dialer returns a Dialer whose HTTP path rides this network. Binary

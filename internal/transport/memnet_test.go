@@ -19,7 +19,7 @@ func TestMemNetRoutesByHost(t *testing.T) {
 		w.WriteHeader(http.StatusTeapot)
 		io.WriteString(w, "b")
 	}))
-	c := m.Client()
+	c := m.Dialer(nil).HTTPClient()
 
 	resp, err := c.Get("http://home-a/uddi")
 	if err != nil {
@@ -43,12 +43,12 @@ func TestMemNetRoutesByHost(t *testing.T) {
 
 func TestMemNetUnknownAndRemovedHost(t *testing.T) {
 	m := NewMemNet()
-	if _, err := m.Client().Get("http://nowhere/"); err == nil || !strings.Contains(err.Error(), "no such host") {
+	if _, err := m.Dialer(nil).HTTPClient().Get("http://nowhere/"); err == nil || !strings.Contains(err.Error(), "no such host") {
 		t.Errorf("unknown host error = %v", err)
 	}
 	m.Handle("h", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	m.Handle("h", nil) // dead home
-	if _, err := m.Client().Get("http://h/"); err == nil {
+	if _, err := m.Dialer(nil).HTTPClient().Get("http://h/"); err == nil {
 		t.Error("removed host still reachable")
 	}
 }
@@ -60,7 +60,7 @@ func TestMemNetRequestBodyDelivered(t *testing.T) {
 		b, _ := io.ReadAll(r.Body)
 		got = string(b)
 	}))
-	resp, err := m.Client().Post("http://h/", "text/plain", strings.NewReader("payload"))
+	resp, err := m.Dialer(nil).HTTPClient().Post("http://h/", "text/plain", strings.NewReader("payload"))
 	if err != nil {
 		t.Fatalf("post: %v", err)
 	}

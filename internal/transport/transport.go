@@ -49,8 +49,7 @@ func Shared() *http.Transport { return shared }
 // (event and registry watches) legitimately park longer than any sane
 // global timeout.
 //
-// In-tree code constructs a Dialer (NewDialer(nil) for an anonymous one)
-// and uses its HTTPClient; the Dialer additionally owns credentials and
-// binary fast-path negotiation. Client remains for the perfbench module,
-// which builds against this package from outside its tree.
+// It is the anonymous client: a nil Dialer's HTTPClient, and what UPnP
+// control points and event clients without credentials ride. Code that
+// speaks for a home uses that home's Dialer instead.
 func Client() *http.Client { return client }

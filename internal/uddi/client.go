@@ -17,10 +17,8 @@ import (
 // the server's authority is negotiated, each operation rides its binuddi
 // record; otherwise it is the XML document over HTTP.
 type Client struct {
-	// HTTP is the underlying client; the Dialer's HTTP side when a
-	// Dialer is set, else the shared keep-alive transport.
-	HTTP *http.Client
-	// Dialer, when set, owns protocol negotiation for this registry.
+	// Dialer carries every operation: credentials, protocol negotiation
+	// and transport. Nil means anonymous XML over the shared transport.
 	Dialer *transport.Dialer
 	// URL is the registry endpoint; ignored when Resolver is set.
 	URL string
@@ -37,16 +35,6 @@ func (c *Client) endpoint() string {
 		return c.Resolver.Current()
 	}
 	return c.URL
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	if c.Dialer != nil {
-		return c.Dialer.HTTPClient()
-	}
-	return transport.Client()
 }
 
 // call runs one operation and returns its reply. With a Resolver,
@@ -81,23 +69,15 @@ func (c *Client) call(ctx context.Context, q *request) (reply, error) {
 // fallback re-sends the same operation and loses nothing. A registry
 // refusal never downgrades: a locked door answers the same on every wire.
 func (c *Client) callAt(ctx context.Context, url string, q *request) (reply, error) {
-	if c.Dialer != nil {
-		res, err := c.Dialer.Exchange(ctx, url, BinContentType, "", encodeBinRequest(q))
-		switch {
-		case err == nil && len(res.Body) > 0 && res.Body[0] == binUDDIVersion:
-			return decodeBinReply(q.op.binReply, res.Body)
-		case err != nil && !errors.Is(err, transport.ErrBinaryUnavailable):
-			return reply{}, fmt.Errorf("uddi: %w", &endpointDownError{err})
-		}
-		// Not negotiated, or a registry that predates the native records
-		// answered: send the document instead.
+	if p, done, err := c.callBinary(ctx, url, q); done {
+		return p, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(encodeXMLRequest(q)))
 	if err != nil {
 		return reply{}, fmt.Errorf("uddi: build request: %w", err)
 	}
 	req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.Dialer.HTTPClient().Do(req)
 	if err != nil {
 		return reply{}, fmt.Errorf("uddi: %w", &endpointDownError{err})
 	}
@@ -120,6 +100,25 @@ func (c *Client) callAt(ctx context.Context, url string, q *request) (reply, err
 		return reply{}, fmt.Errorf("uddi: http status %s", resp.Status)
 	}
 	return decodeXMLReply(q.op.xmlReply, root)
+}
+
+// callBinary is the binuddi attempt of callAt; done is false when the
+// document must be sent instead: the Dialer is not ready for the
+// authority (the record is then never encoded), the lane is not
+// negotiated, or a registry that predates the native records answered.
+func (c *Client) callBinary(ctx context.Context, url string, q *request) (p reply, done bool, err error) {
+	if !c.Dialer.Ready(url) {
+		return reply{}, false, nil
+	}
+	res, err := c.Dialer.Exchange(ctx, url, BinContentType, "", encodeBinRequest(q))
+	switch {
+	case err == nil && len(res.Body) > 0 && res.Body[0] == binUDDIVersion:
+		p, err = decodeBinReply(q.op.binReply, res.Body)
+		return p, true, err
+	case err != nil && !errors.Is(err, transport.ErrBinaryUnavailable):
+		return reply{}, true, fmt.Errorf("uddi: %w", &endpointDownError{err})
+	}
+	return reply{}, false, nil
 }
 
 // Save publishes the entry with the given TTL and returns the assigned

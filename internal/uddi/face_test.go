@@ -250,3 +250,43 @@ func TestViewHandlerWatchFilters(t *testing.T) {
 		})
 	}
 }
+
+// TestIneligibleBinaryAttemptAllocs pins the cost of a binuddi attempt
+// the Dialer cannot run at zero: the record must not be encoded before
+// the Dialer is ready for the authority — not in open mode (credentials
+// without an identity), and not while the authority waits out its SOAP
+// re-probe window.
+func TestIneligibleBinaryAttemptAllocs(t *testing.T) {
+	id, err := identity.Generate("home-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := identity.NewAuth("home-a")
+	if err := armed.SetIdentity(id); err != nil {
+		t.Fatal(err)
+	}
+	// A memory network has no socket and this authority no in-process
+	// binary endpoint: the first attempt fails to negotiate and opens
+	// the re-probe window.
+	reprobe := transport.NewMemNet().Dialer(armed)
+	q := &request{op: opFind, query: Query{Name: "jini:%", Categories: map[string]string{"room": "den"}}}
+	for name, d := range map[string]*transport.Dialer{
+		"open":    transport.NewDialer(identity.NewAuth("home-a")),
+		"reprobe": reprobe,
+		"nil":     nil,
+	} {
+		c := &Client{URL: "http://nowhere.test/uddi", Dialer: d}
+		attempt := func() {
+			if _, done, err := c.callBinary(context.Background(), c.URL, q); done || err != nil {
+				t.Fatalf("%s: callBinary done=%v err=%v, want the document path", name, done, err)
+			}
+		}
+		attempt() // opens the re-probe window
+		if got := testing.AllocsPerRun(200, attempt); got != 0 {
+			t.Errorf("%s: %.1f allocs per ineligible attempt, want 0", name, got)
+		}
+	}
+	if got := reprobe.ProtocolFor("http://nowhere.test/"); got != "soap" {
+		t.Fatalf("reprobe dialer protocol %q, want soap", got)
+	}
+}

@@ -168,7 +168,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		srv := httptest.NewServer(goldenXMLFace(s))
 		defer srv.Close()
 		log := &wireLog{}
-		c := &Client{URL: srv.URL + "/uddi", HTTP: &http.Client{Transport: recordingTransport{log}}}
+		c := &Client{URL: srv.URL + "/uddi", Dialer: &transport.Dialer{Transport: recordingTransport{log}}}
 		goldenScript(t, c, log)
 		checkGolden(t, "xml.txt", log.buf.Bytes())
 	})

@@ -109,7 +109,7 @@ func TestClientFailover(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("not-leader re-pins", func(t *testing.T) {
-		c := &Client{HTTP: mem.Client(), Resolver: transport.NewResolver(replicaURL, leaderURL)}
+		c := &Client{Dialer: mem.Dialer(nil), Resolver: transport.NewResolver(replicaURL, leaderURL)}
 		if _, err := c.Save(ctx, lampEntry(), time.Hour); err != nil {
 			t.Fatalf("Save through resolver: %v", err)
 		}
@@ -122,7 +122,7 @@ func TestClientFailover(t *testing.T) {
 	})
 
 	t.Run("dead endpoint advances", func(t *testing.T) {
-		c := &Client{HTTP: mem.Client(), Resolver: transport.NewResolver(deadURL, leaderURL)}
+		c := &Client{Dialer: mem.Dialer(nil), Resolver: transport.NewResolver(deadURL, leaderURL)}
 		if _, err := c.Find(ctx, Query{}); err != nil {
 			t.Fatalf("Find through resolver with a dead head: %v", err)
 		}
@@ -132,7 +132,7 @@ func TestClientFailover(t *testing.T) {
 	})
 
 	t.Run("all endpoints dead surfaces the error", func(t *testing.T) {
-		c := &Client{HTTP: mem.Client(), Resolver: transport.NewResolver(deadURL, "http://dead2.test/uddi")}
+		c := &Client{Dialer: mem.Dialer(nil), Resolver: transport.NewResolver(deadURL, "http://dead2.test/uddi")}
 		if _, err := c.Find(ctx, Query{}); err == nil {
 			t.Fatal("Find with every endpoint dead returned nil error")
 		}

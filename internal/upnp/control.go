@@ -13,19 +13,9 @@ import (
 )
 
 // ControlPoint drives remote UPnP devices: it fetches descriptions and
-// SCPDs over HTTP and invokes actions over SOAP.
-type ControlPoint struct {
-	// HTTP is the underlying client; the shared keep-alive transport
-	// (internal/transport) if nil.
-	HTTP *http.Client
-}
-
-func (c *ControlPoint) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return transport.Client()
-}
+// SCPDs over HTTP and invokes actions over SOAP, anonymously over the
+// shared keep-alive transport (internal/transport).
+type ControlPoint struct{}
 
 // RemoteService is a fully resolved service on a remote device.
 type RemoteService struct {
@@ -105,7 +95,7 @@ func (c *ControlPoint) Invoke(ctx context.Context, svc RemoteService, action str
 	for i, in := range act.In {
 		call.Args = append(call.Args, soap.Arg{Name: in.Name, Value: args[i]})
 	}
-	client := &soap.Client{HTTP: c.httpClient(), URL: svc.ControlURL}
+	client := &soap.Client{URL: svc.ControlURL}
 	return client.Call(ctx, svc.Type+"#"+action, call)
 }
 
@@ -115,7 +105,7 @@ func (c *ControlPoint) get(ctx context.Context, u string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("upnp: build request: %w", err)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := transport.Client().Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("upnp: %w: %w", service.ErrUnavailable, err)
 	}
