@@ -14,8 +14,8 @@
 // every component that talks on the home's behalf, so they share one
 // link pool, one negotiation state per authority and one set of wire
 // stats. soap, uddi and vsr clients take a *Dialer and no other seam; a
-// nil *Dialer is anonymous SOAP/HTTP over the shared transport. Client()
-// remains only for the perfbench module, which holds no Dialer.
+// nil *Dialer is anonymous SOAP/HTTP over the shared transport, whose
+// client Client() returns.
 package transport
 
 import (

@@ -18,8 +18,8 @@ import (
 
 // MemNet is an in-process HTTP network. Register each simulated host's
 // root handler with Handle; requests to "http://<host>/..." issued
-// through a Dialer from Dialer (or any http.Client over the MemNet as
-// Transport) are served synchronously by that handler.
+// through a Dialer built by MemNet.Dialer (or any http.Client over the
+// MemNet as Transport) are served synchronously by that handler.
 type MemNet struct {
 	mu    sync.RWMutex
 	hosts map[string]http.Handler
