@@ -198,18 +198,17 @@ func (d *Dialer) binaryEligible() bool {
 // before encoding a binary body, so an attempt that cannot run costs
 // nothing; Exchange still checks for itself.
 func (d *Dialer) Ready(rawURL string) bool {
-	if !d.binaryEligible() {
+	if d == nil || d.Session == nil || !d.Session.SessionActive() {
 		return false
 	}
 	authority, ok := authorityOf(rawURL)
 	if !ok {
 		return false
 	}
-	now := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.links[authority]
-	return st == nil || st.mode != modeSOAP || !now.Before(st.retryAt)
+	return d.Binary && (st == nil || st.mode != modeSOAP || !d.now().Before(st.retryAt))
 }
 
 // authorityOf returns the "host:port" of an absolute URL without
