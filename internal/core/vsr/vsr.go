@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -428,23 +429,58 @@ func deltaFromChange(c uddi.Change) (Delta, bool) {
 	return d, true
 }
 
-// wsdlParseCache memoizes parsed WSDL documents keyed by the exact
-// document text. Every registration refresh re-journals an identical
-// document, and every watcher of that journal — gateways, peer links,
-// subscribers — parses it again; the cache turns the steady state into
-// a map hit. Cached Documents share their parsed Interface, which all
-// consumers treat as read-only. Bounded by reset rather than eviction:
-// a federation holds few distinct interfaces, so blowing the cap means
-// churn, not a working set worth preserving.
+// parseWSDLCached is wsdl.Parse behind two caches; cached Documents
+// share their parsed Interface, which all consumers treat as read-only.
+//
+// Templates cover the texts wsdl.Generate writes, which is every text
+// the framework publishes. Under endpoint churn each write carries a new
+// location, so the text is new, but it differs from the interface's
+// earlier texts only in the soap:address value: Generate writes nothing
+// before that value that depends on the location (given one is set), and
+// the same fixed tail after it. So once a parse of text T yields a
+// document d with Generate(d.Interface, d.Location) == T, T splits at its
+// last ` location="` into a key (everything up to and including it) and
+// a value (the attribute's escaped text, then the tail). Generate escapes
+// '"', so that occurrence is the address, and the tail starts at the
+// first '"' after it. A later text made of the same key, a non-empty
+// location L and the same tail, where L escapes to itself (printable
+// ASCII without & " ' < >), is byte for byte Generate(d.Interface, L),
+// whose parse is Document{d.Interface, L}: it is answered without
+// parsing. FuzzParseWSDLCached checks the equivalence against wsdl.Parse.
+//
+// Any other text takes the exact-text cache: stable texts from other
+// publishers still parse once. Both caches are bounded by reset rather
+// than eviction; a federation holds few distinct interfaces, so blowing
+// either cap means texts that will not recur, not a working set worth
+// preserving.
 var (
 	wsdlCacheMu sync.Mutex
 	wsdlCache   = map[string]wsdl.Document{}
+	wsdlTmpl    = map[string]wsdlTemplate{}
 )
 
-const maxWSDLCache = 512
+// wsdlTemplate is the part of a template text after the location value,
+// and the interface every text built on the template describes.
+type wsdlTemplate struct {
+	tail  string
+	iface service.Interface
+}
+
+const (
+	maxWSDLCache = 512
+	locationAttr = ` location="`
+)
 
 func parseWSDLCached(text string) (wsdl.Document, error) {
+	key, rest, templated := splitLocation(text)
 	wsdlCacheMu.Lock()
+	t, haveTmpl := wsdlTmpl[key]
+	if templated && haveTmpl {
+		if loc, ok := strings.CutSuffix(rest, t.tail); ok && selfEscaping(loc) {
+			wsdlCacheMu.Unlock()
+			return wsdl.Document{Interface: t.iface, Location: loc}, nil
+		}
+	}
 	doc, ok := wsdlCache[text]
 	wsdlCacheMu.Unlock()
 	if ok {
@@ -454,6 +490,18 @@ func parseWSDLCached(text string) (wsdl.Document, error) {
 	if err != nil {
 		return wsdl.Document{}, err
 	}
+	// Only a key without a template is worth a Generate to check: a text
+	// that missed an existing template is not one of its instances.
+	if templated && !haveTmpl && isTemplate(text, doc) {
+		tail := rest[strings.IndexByte(rest, '"'):]
+		wsdlCacheMu.Lock()
+		if len(wsdlTmpl) >= maxWSDLCache {
+			wsdlTmpl = make(map[string]wsdlTemplate, maxWSDLCache)
+		}
+		wsdlTmpl[key] = wsdlTemplate{tail: tail, iface: doc.Interface}
+		wsdlCacheMu.Unlock()
+		return doc, nil
+	}
 	wsdlCacheMu.Lock()
 	if len(wsdlCache) >= maxWSDLCache {
 		wsdlCache = make(map[string]wsdl.Document, maxWSDLCache)
@@ -461,6 +509,38 @@ func parseWSDLCached(text string) (wsdl.Document, error) {
 	wsdlCache[text] = doc
 	wsdlCacheMu.Unlock()
 	return doc, nil
+}
+
+// splitLocation splits text after its last ` location="`.
+func splitLocation(text string) (key, rest string, ok bool) {
+	i := strings.LastIndex(text, locationAttr)
+	if i < 0 {
+		return "", "", false
+	}
+	i += len(locationAttr)
+	return text[:i], text[i:], true
+}
+
+// isTemplate reports whether text is exactly what Generate writes for
+// doc.
+func isTemplate(text string, doc wsdl.Document) bool {
+	gen, err := wsdl.Generate(doc.Interface, doc.Location)
+	return err == nil && string(gen) == text
+}
+
+// selfEscaping reports whether s is non-empty and XML attribute escaping
+// leaves it unchanged.
+func selfEscaping(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '&', c == '"', c == '\'', c == '<', c == '>':
+			return false
+		}
+	}
+	return true
 }
 
 // remoteFromEntry rebuilds the service description from a UDDI entry.

@@ -187,6 +187,16 @@ func deadlineMillis(t time.Time) uint64 {
 	return uint64(t.UnixMilli())
 }
 
+// deadlineFromMillis inverts deadlineMillis: 0 is no deadline, and so is
+// a count naming the zero instant, which deadlineMillis writes as 0.
+func deadlineFromMillis(ms uint64) time.Time {
+	t := time.UnixMilli(int64(ms))
+	if ms == 0 || t.IsZero() {
+		return time.Time{}
+	}
+	return t
+}
+
 // binReaderFor validates the version/op header and positions a reader
 // past it.
 func binReaderFor(data []byte) (op byte, r *walReader, err error) {
@@ -338,7 +348,7 @@ func decodeBinReply(sh binShape, data []byte) (reply, error) {
 			n := r.count()
 			for i := 0; i < n && r.err == nil; i++ {
 				if f == fLeased {
-					p.deadlines = append(p.deadlines, time.UnixMilli(int64(r.uvarint())))
+					p.deadlines = append(p.deadlines, deadlineFromMillis(r.uvarint()))
 				}
 				p.entries = append(p.entries, decodeBinEntry(r))
 			}
@@ -347,9 +357,7 @@ func decodeBinReply(sh binShape, data []byte) (reply, error) {
 			for i := 0; i < n && r.err == nil; i++ {
 				c := Change{Seq: r.uvarint(), Op: walOpChange(r.byte())}
 				if f == fLeasedChanges {
-					if ms := r.uvarint(); ms != 0 {
-						c.Expires = time.UnixMilli(int64(ms))
-					}
+					c.Expires = deadlineFromMillis(r.uvarint())
 				}
 				c.Entry = decodeBinEntry(r)
 				p.changes = append(p.changes, c)

@@ -72,3 +72,48 @@ func FuzzRegistryRequest(f *testing.F) {
 		}
 	})
 }
+
+// decodeReply runs a client's reply decoding for operation o: the XML
+// document's shape, or the binuddi record's.
+func decodeReply(binary bool, o *op, data []byte) (reply, error) {
+	if binary {
+		return decodeBinReply(o.binReply, data)
+	}
+	root, err := xmltree.Parse(data)
+	if err != nil {
+		return reply{}, err
+	}
+	return decodeXMLReply(o.xmlReply, root)
+}
+
+func encodeReply(binary bool, o *op, p *reply) []byte {
+	if binary {
+		return encodeBinReply(o.binReply, p)
+	}
+	return encodeXMLReply(o.xmlReply, p)
+}
+
+// FuzzRegistryReply feeds both encodings' reply decoders, for the reply
+// shape of the operation the index byte picks from the op table. Neither
+// may panic. A reply that decodes survives its own encoder: exactly on
+// the binary wire; the XML encoding may normalize it once (characters
+// XML cannot carry, such as invalid UTF-8 the scanner lets through, are
+// replaced), after which it round-trips exactly.
+func FuzzRegistryReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, binary bool, opIndex uint8, data []byte) {
+		o := ops[int(opIndex)%len(ops)]
+		p, err := decodeReply(binary, o, data)
+		if err != nil {
+			return
+		}
+		if !binary {
+			if p, err = decodeReply(false, o, encodeReply(false, o, &p)); err != nil {
+				t.Fatalf("%s reply does not survive its XML encoding: %v", o.name, err)
+			}
+		}
+		again, err := decodeReply(binary, o, encodeReply(binary, o, &p))
+		if err != nil || !reflect.DeepEqual(again, p) {
+			t.Fatalf("%s reply round trip changed it (binary %v, err %v):\n%+v\n%+v", o.name, binary, err, p, again)
+		}
+	})
+}

@@ -95,11 +95,90 @@ type Server struct {
 type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*record
+	// byCat is the shard's category index: for each (key, value) pair
+	// with a non-empty value, the shard's records carrying it, by service
+	// key. Only put and remove write entries, and they keep byCat in step
+	// under mu, so Find can visit one posting set instead of the shard.
+	byCat map[catPair]map[string]*record
 }
+
+// catPair is one category bag attribute.
+type catPair struct{ k, v string }
 
 type record struct {
 	entry   Entry
 	expires time.Time
+}
+
+// put stores rec under its entry's key, replacing any previous record,
+// and indexes its category pairs. Caller holds the shard's write lock
+// (or owns the server outright, as recovery does).
+func (sh *shard) put(rec *record) {
+	key := rec.entry.Key
+	if old, ok := sh.entries[key]; ok {
+		sh.unindex(key, old, rec.entry.Categories)
+	}
+	sh.entries[key] = rec
+	for k, v := range rec.entry.Categories {
+		if v == "" {
+			continue
+		}
+		p := catPair{k, v}
+		set := sh.byCat[p]
+		if set == nil {
+			set = make(map[string]*record)
+			sh.byCat[p] = set
+		}
+		set[key] = rec
+	}
+}
+
+// remove deletes key's record and its index postings, returning the
+// record. Caller holds the shard's write lock.
+func (sh *shard) remove(key string) (*record, bool) {
+	old, ok := sh.entries[key]
+	if !ok {
+		return nil, false
+	}
+	sh.unindex(key, old, nil)
+	delete(sh.entries, key)
+	return old, true
+}
+
+// unindex drops key from the posting sets of old's pairs, except the
+// pairs keep also carries: put overwrites those with the new record.
+func (sh *shard) unindex(key string, old *record, keep map[string]string) {
+	for k, v := range old.entry.Categories {
+		if v == "" || keep[k] == v {
+			continue
+		}
+		p := catPair{k, v}
+		set := sh.byCat[p]
+		delete(set, key)
+		if len(set) == 0 {
+			delete(sh.byCat, p)
+		}
+	}
+}
+
+// candidates returns the records Find must test in this shard: the
+// smallest posting set among q's category constraints, or every entry
+// when q has none that can narrow. An empty-valued constraint never
+// narrows — Matches lets it match entries that lack the key, which no
+// posting set lists. Caller holds the shard's read lock.
+func (sh *shard) candidates(q Query) map[string]*record {
+	best := sh.entries
+	narrowed := false
+	for k, v := range q.Categories {
+		if v == "" {
+			continue
+		}
+		set := sh.byCat[catPair{k, v}]
+		if !narrowed || len(set) < len(best) {
+			best, narrowed = set, true
+		}
+	}
+	return best
 }
 
 // NewServer returns an empty registry and starts its expiry janitor;
@@ -123,6 +202,7 @@ func NewManualServer() *Server {
 	s.nowFn.Store(time.Now)
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]*record)
+		s.shards[i].byCat = make(map[catPair]map[string]*record)
 	}
 	return s
 }
@@ -278,7 +358,7 @@ func (s *Server) expireSweep() {
 		sh.mu.Lock()
 		for key, rec := range sh.entries {
 			if now.After(rec.expires) {
-				delete(sh.entries, key)
+				sh.remove(key)
 				s.appendChange(OpExpire, rec.entry, time.Time{})
 				s.auditEvent(audit.Event{Type: audit.Expire, Service: rec.entry.Name,
 					Detail: "registration TTL lapsed (gateway went silent)"})
@@ -310,7 +390,7 @@ func (s *Server) Save(e Entry, ttl time.Duration) string {
 		}
 	}
 	deadline := s.now().Add(ttl)
-	sh.entries[e.Key] = &record{entry: e.Clone(), expires: deadline}
+	sh.put(&record{entry: e.Clone(), expires: deadline})
 	s.appendChange(op, e, deadline)
 	sh.mu.Unlock()
 	if rehomedFrom != "" {
@@ -336,8 +416,7 @@ func (s *Server) SaveAll(entries []Entry, ttl time.Duration) []string {
 func (s *Server) Delete(key string) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	if rec, ok := sh.entries[key]; ok {
-		delete(sh.entries, key)
+	if rec, ok := sh.remove(key); ok {
 		s.shardOps[shardIndex(key)].Add(1)
 		s.appendChange(OpDelete, rec.entry, time.Time{})
 	}
@@ -358,7 +437,9 @@ func (s *Server) Get(key string) (Entry, bool) {
 
 // Find returns unexpired entries matching q, ordered by name then key for
 // determinism. Expired entries are skipped (the janitor deletes and
-// journals them).
+// journals them). A query with a category constraint visits only the
+// smallest matching posting set of each shard's index, so a lookup by
+// service ID costs a map hit per shard, not a scan of the registry.
 func (s *Server) Find(q Query) []Entry {
 	s.finds.Add(1)
 	now := s.now()
@@ -366,7 +447,7 @@ func (s *Server) Find(q Query) []Entry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, rec := range sh.entries {
+		for _, rec := range sh.candidates(q) {
 			if now.After(rec.expires) {
 				continue
 			}
