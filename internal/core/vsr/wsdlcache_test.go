@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"homeconnect/internal/service"
@@ -94,6 +95,34 @@ func TestParseWSDLChurnUsesTemplate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParseWSDLCachedConcurrent decodes churned and foreign documents
+// from several goroutines at once, so the race detector sees both caches
+// filled and read concurrently, and each result is checked.
+func TestParseWSDLCachedConcurrent(t *testing.T) {
+	head, tail := churnTexts(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				loc := "http://10.0.0." + strconv.Itoa(g) + ":" + strconv.Itoa(i%50) + "/x"
+				if i%3 == 0 {
+					loc += "?a=1&amp;b=2" // escaped: takes the exact-text path
+				}
+				text := head + loc + tail
+				want, werr := wsdl.Parse([]byte(text))
+				got, err := parseWSDLCached(text)
+				if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%q: got %+v (%v), wsdl.Parse gives %+v (%v)", loc, got, err, want, werr)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkParseWSDLChurn decodes a registration's WSDL with a fresh
