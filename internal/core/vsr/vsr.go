@@ -15,6 +15,7 @@ package vsr
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/http"
@@ -112,7 +113,7 @@ func EntryFor(desc service.Description, endpoint string) (uddi.Entry, error) {
 	if err := desc.Validate(); err != nil {
 		return uddi.Entry{}, err
 	}
-	doc, err := wsdl.Generate(desc.Interface, endpoint)
+	doc, err := renderWSDL(desc.Interface, endpoint)
 	if err != nil {
 		return uddi.Entry{}, fmt.Errorf("vsr: generate wsdl for %s: %w", desc.ID, err)
 	}
@@ -131,7 +132,7 @@ func EntryFor(desc service.Description, endpoint string) (uddi.Entry, error) {
 		Description: desc.Name,
 		AccessPoint: endpoint,
 		TModel:      desc.Interface.Name,
-		WSDL:        string(doc),
+		WSDL:        doc,
 		Categories:  cats,
 	}, nil
 }
@@ -541,6 +542,83 @@ func selfEscaping(s string) bool {
 		}
 	}
 	return true
+}
+
+// renderWSDL is wsdl.Generate behind a template table keyed by the
+// interface. It is the render-side twin of parseWSDLCached's templates:
+// for a non-empty location L that escapes to itself, Generate(it, L) is
+// a prefix that depends only on it (the text through the address's
+// ` location="`), then L, then a tail that depends only on it. So the
+// first such render of an interface stores that prefix and tail, and
+// every later one is their concatenation around L: one allocation and
+// one copy instead of a document's worth of writer calls. An empty
+// location (no address element) or one that needs escaping still calls
+// Generate. The key (appendInterfaceKey) encodes every field Generate
+// reads, so two interfaces share a template only if Generate cannot tell
+// them apart. FuzzRenderWSDL checks the equivalence against Generate.
+// The table is bounded by reset, like the parse caches.
+var (
+	renderMu   sync.RWMutex
+	renderTmpl = map[string]renderTemplate{}
+)
+
+// renderTemplate is a generated text split around its location value.
+type renderTemplate struct {
+	prefix, tail string
+}
+
+func renderWSDL(it service.Interface, loc string) (string, error) {
+	if !selfEscaping(loc) {
+		b, err := wsdl.Generate(it, loc)
+		return string(b), err
+	}
+	var kb [512]byte
+	key := appendInterfaceKey(kb[:0], it)
+	renderMu.RLock()
+	t, ok := renderTmpl[string(key)]
+	renderMu.RUnlock()
+	if ok {
+		return t.prefix + loc + t.tail, nil
+	}
+	b, err := wsdl.Generate(it, loc)
+	if err != nil {
+		return "", err
+	}
+	text := string(b)
+	if prefix, rest, split := splitLocation(text); split {
+		if tail, found := strings.CutPrefix(rest, loc); found && strings.HasPrefix(tail, `"`) {
+			renderMu.Lock()
+			if len(renderTmpl) >= maxWSDLCache {
+				renderTmpl = make(map[string]renderTemplate, maxWSDLCache)
+			}
+			renderTmpl[string(key)] = renderTemplate{prefix: prefix, tail: tail}
+			renderMu.Unlock()
+		}
+	}
+	return text, nil
+}
+
+// appendInterfaceKey appends an injective encoding of everything
+// wsdl.Generate reads from an interface: each string length-prefixed,
+// each list count-prefixed, kinds as numbers.
+func appendInterfaceKey(b []byte, it service.Interface) []byte {
+	str := func(b []byte, s string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	b = str(b, it.Name)
+	b = str(b, it.Doc)
+	b = binary.AppendUvarint(b, uint64(len(it.Operations)))
+	for _, op := range it.Operations {
+		b = str(b, op.Name)
+		b = str(b, op.Doc)
+		b = binary.AppendVarint(b, int64(op.Output))
+		b = binary.AppendUvarint(b, uint64(len(op.Inputs)))
+		for _, p := range op.Inputs {
+			b = str(b, p.Name)
+			b = binary.AppendVarint(b, int64(p.Type))
+		}
+	}
+	return b
 }
 
 // remoteFromEntry rebuilds the service description from a UDDI entry.
