@@ -128,7 +128,8 @@ func appendBinEntry(b []byte, e *Entry) []byte {
 // maps encode identically.
 func appendBinPairs(b []byte, m map[string]string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m)))
-	keys := make([]string, 0, len(m))
+	var small [8]string // category bags are small: sort them on the stack
+	keys := small[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}

@@ -29,9 +29,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -212,16 +212,12 @@ func (s *Server) walAppendEpochLocked(epoch uint64, leader string) {
 	if w == nil || w.f == nil {
 		return
 	}
-	b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	b = append(b, recVersion, opWALEpoch)
+	b := append(openFrame(w.scratch), recVersion, opWALEpoch)
 	b = binary.AppendUvarint(b, s.seq)
 	b = binary.AppendUvarint(b, epoch)
 	b = appendWALString(b, leader)
 	w.scratch = b[:0]
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	n, err := w.f.Write(b)
+	n, err := w.f.Write(sealFrame(b))
 	w.off += int64(n)
 	if err != nil {
 		w.lastErr = "append: " + err.Error()
@@ -369,11 +365,13 @@ func (s *Server) walResetLocked(entries []Entry, deadlines []time.Time, seq, epo
 	}
 	w.snaps = w.snaps[:0]
 
-	es := append([]Entry(nil), entries...)
-	ds := append([]time.Time(nil), deadlines...)
-	sort.Sort(&snapOrder{es, ds})
+	recs := make([]*record, len(entries))
+	for i := range entries {
+		recs[i] = &record{entry: entries[i], expires: deadlines[i]}
+	}
+	slices.SortFunc(recs, func(a, b *record) int { return strings.Compare(a.entry.Key, b.entry.Key) })
 	path := filepath.Join(w.dir, fmt.Sprintf("snap-%016x.snap", seq))
-	if err := writeSnapshot(path, seq, es, ds, epoch, leader); err != nil {
+	if _, err := writeSnapshot(path, seq, recs, epoch, leader, nil); err != nil {
 		w.lastErr = "reset: " + err.Error()
 		return err
 	}
@@ -458,4 +456,18 @@ func (s *Server) replStatusNow() ReplStatus {
 		st.Role, st.ReplicaOf = "replica", of
 	}
 	return st
+}
+
+// snapOrder sorts a state dump's entries (and their deadlines, in
+// lockstep) by key, for stable wire bytes.
+type snapOrder struct {
+	entries   []Entry
+	deadlines []time.Time
+}
+
+func (o *snapOrder) Len() int           { return len(o.entries) }
+func (o *snapOrder) Less(i, j int) bool { return o.entries[i].Key < o.entries[j].Key }
+func (o *snapOrder) Swap(i, j int) {
+	o.entries[i], o.entries[j] = o.entries[j], o.entries[i]
+	o.deadlines[i], o.deadlines[j] = o.deadlines[j], o.deadlines[i]
 }

@@ -105,6 +105,11 @@ type shard struct {
 // catPair is one category bag attribute.
 type catPair struct{ k, v string }
 
+// record is one stored registration. A record is never mutated once
+// put: a write replaces the shard's pointer with a new record holding
+// its own copy of the entry. Readers that take the pointer under the
+// shard lock (snapshotNow) may therefore keep reading it after the lock
+// is released.
 type record struct {
 	entry   Entry
 	expires time.Time

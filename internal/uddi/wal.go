@@ -18,11 +18,24 @@
 //	                the entry fields as length-prefixed strings and the
 //	                sorted category pairs.
 //	snap-<seq>.snap Snapshots; <seq> names the journal position the
-//	                snapshot covers. snapMagic then one frame whose
-//	                payload is version, uvarint seq, uvarint count, and
-//	                count (expiry, entry) groups. Written to a .tmp file,
-//	                fsynced, then renamed; the two newest are kept so a
-//	                corrupt snapshot falls back to its predecessor.
+//	                snapshot covers. Version 2 (snapMagic) is a stream of
+//	                frames in the WAL's framing:
+//	                  header:  version byte (2), uvarint seq,
+//	                           uvarint count
+//	                  count entry frames, in key order, each one
+//	                  registration: uvarint expiry (unix milli), then
+//	                  the entry fields and sorted category pairs as in
+//	                  a WAL record
+//	                  trailer: uvarint epoch, the epoch's leader name
+//	                and nothing after the trailer. A frame is one entry,
+//	                so no frame grows with the registry: every frame stays
+//	                under maxWALFrame, which recovery enforces. Version 1
+//	                (snapMagicV1, still loaded) was a single frame holding
+//	                version, seq, count, the (expiry, entry) groups and
+//	                the epoch/leader tail, which a registry above 4 MiB
+//	                could not read back. Written to a .tmp file, fsynced,
+//	                then renamed; the two newest are kept so a corrupt
+//	                snapshot falls back to its predecessor.
 //
 // Records are written straight to the file descriptor (no user-space
 // buffering), so a kill -9 loses nothing the registry acknowledged — only
@@ -31,12 +44,14 @@
 package uddi
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -45,10 +60,12 @@ import (
 )
 
 const (
-	walMagic  = "homeconnect-wal-v1\n"
-	snapMagic = "homeconnect-snap-v1\n"
+	walMagic    = "homeconnect-wal-v1\n"
+	snapMagic   = "homeconnect-snap-v2\n"
+	snapMagicV1 = "homeconnect-snap-v1\n"
 
-	recVersion = 1
+	recVersion  = 1
+	snapVersion = 2
 
 	opWALAdd    = 'a'
 	opWALUpdate = 'u'
@@ -169,6 +186,11 @@ type wal struct {
 	snaps   []walFile
 	off     int64 // bytes written to the active segment
 	scratch []byte
+
+	// snapRecs and snapBuf are snapshotNow's record list and frame
+	// scratch, kept between snapshots (snapBusy makes them exclusive).
+	snapRecs []*record
+	snapBuf  []byte
 
 	snapSeq  uint64 // journal position of the newest durable snapshot
 	haveSnap bool
@@ -459,13 +481,9 @@ func (s *Server) walAppend(op ChangeOp, e Entry, expires time.Time) {
 	if w == nil || w.f == nil {
 		return
 	}
-	b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	b = appendWALRecord(b, changeOpWAL(op), s.seq, e, expires)
+	b := appendWALRecord(openFrame(w.scratch), changeOpWAL(op), s.seq, e, expires)
 	w.scratch = b[:0]
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	n, err := w.f.Write(b)
+	n, err := w.f.Write(sealFrame(b))
 	w.off += int64(n)
 	if err != nil {
 		w.lastErr = "append: " + err.Error()
@@ -531,32 +549,41 @@ func (s *Server) Snapshot() error {
 // runs outside jmu (lock order is shard → jmu, never the reverse) so
 // mutators keep flowing — the snapshot is fuzzy, and replaying the WAL
 // span above its seq over it is idempotent, so recovery converges.
+//
+// The scan takes record pointers, not copies: a stored record is never
+// mutated (a write replaces the map's pointer with a new record; see
+// record), so each pointer is a frozen view of its entry at scan time,
+// safe to encode after the shard lock is released. The records then
+// stream to disk one frame each through the reused scratch buffer, so a
+// snapshot allocates neither entry copies nor a registry-sized buffer.
 func (s *Server) snapshotNow() error {
 	s.jmu.Lock()
 	seq := s.seq
-	dir := s.wal.dir
+	w := s.wal
+	dir := w.dir
 	epoch, leader := s.epoch, s.epochLeader
+	recs := w.snapRecs[:0]
 	s.jmu.Unlock()
 
-	var entries []Entry
-	var deadlines []time.Time
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, rec := range sh.entries {
-			entries = append(entries, rec.entry.Clone())
-			deadlines = append(deadlines, rec.expires)
+			recs = append(recs, rec)
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Sort(&snapOrder{entries, deadlines})
+	slices.SortFunc(recs, func(a, b *record) int { return strings.Compare(a.entry.Key, b.entry.Key) })
 
 	path := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", seq))
-	err := writeSnapshot(path, seq, entries, deadlines, epoch, leader)
+	buf, err := writeSnapshot(path, seq, recs, epoch, leader, w.snapBuf)
+	// Drop the record pointers so replaced records can be collected; keep
+	// the capacity for the next snapshot.
+	clear(recs)
 
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	w := s.wal
+	w.snapRecs, w.snapBuf = recs[:0], buf[:0]
 	w.snapBusy = false
 	if err != nil {
 		w.lastErr = "snapshot: " + err.Error()
@@ -633,13 +660,9 @@ func (s *Server) Shutdown() error {
 	w := s.wal
 	seq := s.seq
 	if w != nil && w.f != nil {
-		b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-		b = append(b, recVersion, opWALMarker)
+		b := append(openFrame(w.scratch), recVersion, opWALMarker)
 		b = binary.AppendUvarint(b, seq)
-		payload := b[8:]
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-		if _, werr := w.f.Write(b); werr != nil && err == nil {
+		if _, werr := w.f.Write(sealFrame(b)); werr != nil && err == nil {
 			err = werr
 		}
 		if serr := w.f.Sync(); serr == nil {
@@ -757,35 +780,14 @@ func appendWALString(b []byte, v string) []byte {
 	return append(b, v...)
 }
 
-// appendWALRecord appends the framed payload for one mutation. Category
-// pairs are sorted so identical entries encode identically.
+// appendWALRecord appends the framed payload for one mutation: the
+// header, the deadline and the entry in the binuddi field order, whose
+// category pairs are sorted so identical entries encode identically.
 func appendWALRecord(b []byte, op byte, seq uint64, e Entry, expires time.Time) []byte {
 	b = append(b, recVersion, op)
 	b = binary.AppendUvarint(b, seq)
-	var expMS uint64
-	if !expires.IsZero() {
-		expMS = uint64(expires.UnixMilli())
-	}
-	b = binary.AppendUvarint(b, expMS)
-	b = appendWALString(b, e.Key)
-	b = appendWALString(b, e.Name)
-	b = appendWALString(b, e.Description)
-	b = appendWALString(b, e.AccessPoint)
-	b = appendWALString(b, e.TModel)
-	b = appendWALString(b, e.WSDL)
-	b = binary.AppendUvarint(b, uint64(len(e.Categories)))
-	if len(e.Categories) > 0 {
-		keys := make([]string, 0, len(e.Categories))
-		for k := range e.Categories {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendWALString(b, k)
-			b = appendWALString(b, e.Categories[k])
-		}
-	}
-	return b
+	b = binary.AppendUvarint(b, deadlineMillis(expires))
+	return appendBinEntry(b, &e)
 }
 
 // readWALFrame validates the frame at data[off:] and returns its payload
@@ -904,52 +906,54 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	return rec, r.err
 }
 
-// writeSnapshot writes an atomic snapshot: tmp file, fsync, rename, and
-// a best-effort directory sync so the rename itself is durable. The
-// replication epoch and leader name ride at the payload tail, after the
-// entry groups, so pre-replication snapshots (which simply end at the
-// last entry) still load.
-func writeSnapshot(path string, seq uint64, entries []Entry, deadlines []time.Time, epoch uint64, leader string) error {
-	b := make([]byte, 8, 1024)
-	b = append(b, recVersion)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for i, e := range entries {
-		var expMS uint64
-		if !deadlines[i].IsZero() {
-			expMS = uint64(deadlines[i].UnixMilli())
-		}
-		b = binary.AppendUvarint(b, expMS)
-		b = appendWALString(b, e.Key)
-		b = appendWALString(b, e.Name)
-		b = appendWALString(b, e.Description)
-		b = appendWALString(b, e.AccessPoint)
-		b = appendWALString(b, e.TModel)
-		b = appendWALString(b, e.WSDL)
-		b = binary.AppendUvarint(b, uint64(len(e.Categories)))
-		keys := make([]string, 0, len(e.Categories))
-		for k := range e.Categories {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendWALString(b, k)
-			b = appendWALString(b, e.Categories[k])
-		}
-	}
-	b = binary.AppendUvarint(b, epoch)
-	b = appendWALString(b, leader)
+// openFrame starts a frame in scratch: the 8 header bytes, which
+// sealFrame fills once the payload has been appended after them.
+func openFrame(scratch []byte) []byte {
+	return append(scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// sealFrame writes the length and CRC of b's payload (everything after
+// the 8 bytes openFrame reserved) into its header, and returns b.
+func sealFrame(b []byte) []byte {
 	payload := b[8:]
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	return b
+}
 
+// writeSnapshot writes an atomic v2 snapshot of recs, which are sorted
+// by key: tmp file, fsync, rename, and a best-effort directory sync so
+// the rename itself is durable. Frames stream through one buffered
+// writer, each built in scratch, which is returned grown for reuse. An
+// entry too large for one frame fails the snapshot rather than writing
+// one recovery would refuse; the WAL behind the previous snapshot is then
+// kept.
+func writeSnapshot(path string, seq uint64, recs []*record, epoch uint64, leader string, scratch []byte) ([]byte, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return scratch, err
 	}
-	if _, err := f.WriteString(snapMagic); err == nil {
-		_, err = f.Write(b)
+	bw := bufio.NewWriterSize(f, 64<<10)
+	bw.WriteString(snapMagic)
+	b := append(openFrame(scratch), snapVersion)
+	b = binary.AppendUvarint(b, seq)
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	bw.Write(sealFrame(b))
+	for _, rec := range recs {
+		b = binary.AppendUvarint(openFrame(b), deadlineMillis(rec.expires))
+		b = appendBinEntry(b, &rec.entry)
+		if len(b)-8 > maxWALFrame {
+			err = fmt.Errorf("uddi: entry %s encodes to %d bytes, above the %d-byte frame limit", rec.entry.Key, len(b)-8, maxWALFrame)
+			break
+		}
+		bw.Write(sealFrame(b))
+	}
+	if err == nil {
+		b = binary.AppendUvarint(openFrame(b), epoch)
+		b = appendWALString(b, leader)
+		bw.Write(sealFrame(b))
+		err = bw.Flush() // a bufio.Writer keeps its first write error
 	}
 	if err == nil {
 		err = f.Sync()
@@ -959,31 +963,98 @@ func writeSnapshot(path string, seq uint64, entries []Entry, deadlines []time.Ti
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
+		return b, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return err
+		return b, err
 	}
 	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
+	return b, nil
 }
 
-// loadSnapshot reads and validates one snapshot file. The epoch/leader
-// tail is optional: snapshots written before replication end at the last
-// entry group and load with epoch 0.
+// loadSnapshot reads and validates one snapshot file of either version.
 func loadSnapshot(path string) (entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, 0, 0, "", err
 	}
-	if !strings.HasPrefix(string(data[:min(len(data), len(snapMagic))]), snapMagic) {
-		return nil, nil, 0, 0, "", fmt.Errorf("uddi: bad snapshot magic")
+	switch {
+	case strings.HasPrefix(string(data[:min(len(data), len(snapMagic))]), snapMagic):
+		return loadSnapshotV2(data)
+	case strings.HasPrefix(string(data[:min(len(data), len(snapMagicV1))]), snapMagicV1):
+		return loadSnapshotV1(data)
 	}
-	payload, next, err := readWALFrame(data, len(snapMagic))
+	return nil, nil, 0, 0, "", fmt.Errorf("uddi: bad snapshot magic")
+}
+
+// loadSnapshotV2 reads the header, entry and trailer frames of a v2
+// snapshot; anything missing, extra or malformed fails the whole file.
+func loadSnapshotV2(data []byte) (entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string, err error) {
+	fail := func(err error) ([]Entry, []time.Time, uint64, uint64, string, error) {
+		return nil, nil, 0, 0, "", err
+	}
+	payload, off, err := readWALFrame(data, len(snapMagic))
+	if err != nil {
+		return fail(err)
+	}
+	if payload[0] != snapVersion {
+		return fail(fmt.Errorf("uddi: unknown snapshot version %d", payload[0]))
+	}
+	r := &walReader{b: payload, off: 1}
+	seq = r.uvarint()
+	count := r.uvarint()
+	if r.err == nil && r.off != len(payload) {
+		r.err = fmt.Errorf("uddi: trailing bytes in snapshot header")
+	}
+	if r.err != nil {
+		return fail(r.err)
+	}
+	// Every entry frame takes at least 9 bytes, so a count above what the
+	// file can hold is refused before it sizes an allocation.
+	if count > uint64(len(data)-off)/9 {
+		return fail(fmt.Errorf("uddi: snapshot count %d out of range", count))
+	}
+	entries = make([]Entry, 0, count)
+	deadlines = make([]time.Time, 0, count)
+	for i := uint64(0); i < count; i++ {
+		if payload, off, err = readWALFrame(data, off); err != nil {
+			return fail(err)
+		}
+		r := &walReader{b: payload}
+		e, exp := decodeWALEntry(r)
+		if r.err == nil && r.off != len(payload) {
+			r.err = fmt.Errorf("uddi: trailing bytes in snapshot entry")
+		}
+		if r.err != nil {
+			return fail(r.err)
+		}
+		entries = append(entries, e)
+		deadlines = append(deadlines, exp)
+	}
+	if payload, off, err = readWALFrame(data, off); err != nil {
+		return fail(err)
+	}
+	r = &walReader{b: payload}
+	epoch = r.uvarint()
+	leader = r.str()
+	if r.err == nil && (r.off != len(payload) || off != len(data)) {
+		r.err = fmt.Errorf("uddi: trailing bytes after snapshot trailer")
+	}
+	if r.err != nil {
+		return fail(r.err)
+	}
+	return entries, deadlines, seq, epoch, leader, nil
+}
+
+// loadSnapshotV1 reads a v1 snapshot: one frame holding everything. The
+// epoch/leader tail is optional: snapshots written before replication
+// end at the last entry group and load with epoch 0.
+func loadSnapshotV1(data []byte) (entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string, err error) {
+	payload, next, err := readWALFrame(data, len(snapMagicV1))
 	if err != nil {
 		return nil, nil, 0, 0, "", err
 	}
@@ -1047,18 +1118,4 @@ func scanWALDir(dir string) (snaps, segs []walFile, err error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].seq < snaps[j].seq })
 	return snaps, segs, nil
-}
-
-// snapOrder sorts snapshot entries (and their deadlines, in lockstep) by
-// key, for stable snapshot bytes.
-type snapOrder struct {
-	entries   []Entry
-	deadlines []time.Time
-}
-
-func (o *snapOrder) Len() int           { return len(o.entries) }
-func (o *snapOrder) Less(i, j int) bool { return o.entries[i].Key < o.entries[j].Key }
-func (o *snapOrder) Swap(i, j int) {
-	o.entries[i], o.entries[j] = o.entries[j], o.entries[i]
-	o.deadlines[i], o.deadlines[j] = o.deadlines[j], o.deadlines[i]
 }

@@ -137,9 +137,10 @@ func writerSeeds(tb testing.TB) (segs [][]byte, snap []byte) {
 // segment at its last valid frame; the sequence number must not fall
 // below the last intact record or the snapshot it used; and booting the
 // repaired directory again must find no torn tail and the same state.
-// Seeds: testdata/fuzz/FuzzWALRecovery holds v1-writer directories (a
-// snapshot with its tail, torn tails, epoch and marker records); the
-// current writer's output is added below.
+// Seeds: testdata/fuzz/FuzzWALRecovery holds the output of the v1 and
+// v2 snapshot writers (a snapshot with its tail, torn tails and
+// snapshots, epoch and marker records); the current writer's output is
+// added below.
 func FuzzWALRecovery(f *testing.F) {
 	segs, snap := writerSeeds(f)
 	f.Add(segs[1], snap, false)
