@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -141,6 +142,29 @@ func appendBinPairs(b []byte, m map[string]string) []byte {
 	return b
 }
 
+// Encoded sizes, so the request and reply encoders allocate their
+// record once at its final length.
+
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func walStringSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+// binEntrySize is the length appendBinEntry appends for e.
+func binEntrySize(e *Entry) int {
+	return walStringSize(e.Key) + walStringSize(e.Name) + walStringSize(e.Description) +
+		walStringSize(e.AccessPoint) + walStringSize(e.TModel) + walStringSize(e.WSDL) +
+		binPairsSize(e.Categories)
+}
+
+// binPairsSize is the length appendBinPairs appends for m.
+func binPairsSize(m map[string]string) int {
+	n := uvarintSize(uint64(len(m)))
+	for k, v := range m {
+		n += walStringSize(k) + walStringSize(v)
+	}
+	return n
+}
+
 func decodeBinEntry(r *walReader) Entry {
 	var e Entry
 	e.Key = r.str()
@@ -213,7 +237,8 @@ func binReaderFor(data []byte) (op byte, r *walReader, err error) {
 // --- requests -----------------------------------------------------------
 
 func encodeBinRequest(q *request) []byte {
-	b := []byte{binUDDIVersion, q.op.code}
+	b := make([]byte, 0, binRequestSize(q))
+	b = append(b, binUDDIVersion, q.op.code)
 	for _, p := range q.op.bin {
 		switch p {
 		case pServices:
@@ -238,6 +263,33 @@ func encodeBinRequest(q *request) []byte {
 		}
 	}
 	return b
+}
+
+// binRequestSize is the length encodeBinRequest encodes q to.
+func binRequestSize(q *request) int {
+	n := 2
+	for _, p := range q.op.bin {
+		switch p {
+		case pServices:
+			n += uvarintSize(uint64(len(q.entries)))
+			for i := range q.entries {
+				n += binEntrySize(&q.entries[i])
+			}
+		case pTTL:
+			n += uvarintSize(uint64(q.ttl / time.Millisecond))
+		case pKey:
+			n += walStringSize(q.key)
+		case pQuery:
+			n += walStringSize(q.query.Name) + walStringSize(q.query.TModel) + binPairsSize(q.query.Categories)
+		case pSince:
+			n += uvarintSize(q.since)
+		case pTimeout:
+			n += uvarintSize(uint64(q.timeout / time.Millisecond))
+		case pEpoch:
+			n += uvarintSize(q.epoch)
+		}
+	}
+	return n
 }
 
 // readBinRequest decodes q.op's parameters from r, positioned past the
@@ -272,7 +324,8 @@ func readBinRequest(r *walReader, q *request) error {
 // --- replies ------------------------------------------------------------
 
 func encodeBinReply(sh binShape, p *reply) []byte {
-	b := []byte{binUDDIVersion, sh.code}
+	b := make([]byte, 0, binReplySize(sh, p))
+	b = append(b, binUDDIVersion, sh.code)
 	for _, f := range sh.fields {
 		switch f {
 		case fKeys:
@@ -318,6 +371,51 @@ func encodeBinReply(sh binShape, p *reply) []byte {
 		}
 	}
 	return b
+}
+
+// binReplySize is the length encodeBinReply encodes p to.
+func binReplySize(sh binShape, p *reply) int {
+	n := 2
+	for _, f := range sh.fields {
+		switch f {
+		case fKeys:
+			n += uvarintSize(uint64(len(p.keys)))
+			for _, k := range p.keys {
+				n += walStringSize(k)
+			}
+		case fEntries, fLeased:
+			n += uvarintSize(uint64(len(p.entries)))
+			for i := range p.entries {
+				if f == fLeased {
+					n += uvarintSize(deadlineMillis(p.deadlines[i]))
+				}
+				n += binEntrySize(&p.entries[i])
+			}
+		case fChanges, fLeasedChanges:
+			n += uvarintSize(uint64(len(p.changes)))
+			for i := range p.changes {
+				c := &p.changes[i]
+				n += uvarintSize(c.Seq) + 1
+				if f == fLeasedChanges {
+					n += uvarintSize(deadlineMillis(c.Expires))
+				}
+				n += binEntrySize(&c.Entry)
+			}
+		case fSeq:
+			n += uvarintSize(p.seq)
+		case fResync:
+			n++
+		case fEpoch:
+			n += uvarintSize(p.epoch)
+		case fLeader:
+			n += walStringSize(p.leader)
+		case fRole:
+			n += walStringSize(p.role)
+		case fReplicaOf:
+			n += walStringSize(p.replicaOf)
+		}
+	}
+	return n
 }
 
 // decodeBinReply decodes a binary reply of shape sh; an error record

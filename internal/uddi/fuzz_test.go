@@ -33,6 +33,16 @@ func decodeRequest(binary bool, data []byte) (*request, error) {
 
 var errUnknownOp = errors.New("unknown operation")
 
+// exactlySized fails unless a binuddi encoder sized its record exactly:
+// it allocated once, at the final length.
+func exactlySized(t *testing.T, b []byte) []byte {
+	t.Helper()
+	if len(b) != cap(b) {
+		t.Fatalf("binuddi record is %d bytes in a %d-byte allocation", len(b), cap(b))
+	}
+	return b
+}
+
 // sameRequest compares two decoded requests. save_service rides
 // save_services' record on the binary wire, so operations compare by the
 // record that carries them.
@@ -56,7 +66,7 @@ func FuzzRegistryRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		qb, err := decodeRequest(true, encodeBinRequest(q))
+		qb, err := decodeRequest(true, exactlySized(t, encodeBinRequest(q)))
 		if err != nil || !sameRequest(qb, q) {
 			t.Fatalf("binary round trip changed the request (err %v):\n%+v\n%+v", err, q, qb)
 		}
@@ -111,7 +121,11 @@ func FuzzRegistryReply(f *testing.F) {
 				t.Fatalf("%s reply does not survive its XML encoding: %v", o.name, err)
 			}
 		}
-		again, err := decodeReply(binary, o, encodeReply(binary, o, &p))
+		enc := encodeReply(binary, o, &p)
+		if binary {
+			exactlySized(t, enc)
+		}
+		again, err := decodeReply(binary, o, enc)
 		if err != nil || !reflect.DeepEqual(again, p) {
 			t.Fatalf("%s reply round trip changed it (binary %v, err %v):\n%+v\n%+v", o.name, binary, err, p, again)
 		}
