@@ -482,3 +482,78 @@ func TestNilDialerIsAnonymous(t *testing.T) {
 	}
 	d.Close()
 }
+
+// countingConn counts the Read calls on a connection that returned
+// data (a read still blocked waiting for the next frame is not counted).
+type countingConn struct {
+	net.Conn
+	mu    sync.Mutex
+	reads int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.mu.Lock()
+		c.reads++
+		c.mu.Unlock()
+	}
+	return n, err
+}
+
+func (c *countingConn) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads
+}
+
+// TestOneReadPerFrame: both ends of a link read each frame under 4 KiB
+// with one Read on the connection — header and payload together — from
+// the handshake on. The server side consumes the preamble first, as the
+// demultiplexer does, and counting starts after it.
+func TestOneReadPerFrame(t *testing.T) {
+	srv := echoServer(&fakeAuth{home: "listener"})
+	defer srv.Close()
+	dconn, sconn := net.Pipe()
+	dialerSide := &countingConn{Conn: dconn}
+	serverSide := &countingConn{Conn: sconn}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		var magic [len(BinMagic)]byte
+		if _, err := io.ReadFull(sconn, magic[:]); err != nil || string(magic[:]) != BinMagic {
+			sconn.Close()
+			return
+		}
+		srv.ServeConn(serverSide)
+	}()
+
+	d := &Dialer{Session: &fakeAuth{home: "dialer"}, Binary: true}
+	l, err := d.handshake(d.link("pipe"), dialerSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dialerSide.count(); got != 1 {
+		t.Fatalf("dialer read the accept frame in %d reads, want 1", got)
+	}
+	sizes := []int{0, 100, 1000, 3500}
+	for _, n := range sizes {
+		body := bytes.Repeat([]byte{'x'}, n)
+		res, err := l.exchange(context.Background(), "/p", "text/plain", "", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "dialer:/p:" + string(body); string(res.Body) != want {
+			t.Fatalf("%d-byte exchange echoed %d bytes", n, len(res.Body))
+		}
+	}
+	frames := 1 + len(sizes) // the hello or accept, then one per exchange
+	if got := dialerSide.count(); got != frames {
+		t.Fatalf("dialer made %d reads for %d frames", got, frames)
+	}
+	if got := serverSide.count(); got != frames {
+		t.Fatalf("server made %d reads for %d frames", got, frames)
+	}
+	l.discard()
+	<-served
+}

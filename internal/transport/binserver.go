@@ -8,6 +8,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -190,13 +191,15 @@ func (s *BinServer) ServeConn(conn net.Conn) {
 			s.auth.NoteSessionEnd(sess, false)
 		}
 	}()
-	// buf holds incoming frames, out the encoded response payload, fbuf
-	// the framed response — each grown once and reused for the life of
-	// the connection.
+	// rd reads frames in one read(2) each when they fit its buffer; buf
+	// holds incoming frames, out the encoded response payload, fbuf the
+	// framed response — each grown once and reused for the life of the
+	// connection.
+	rd := bufio.NewReader(conn)
 	var buf, out, fbuf []byte
 	ctx := context.Background()
 	for {
-		payload, nbuf, err := readFrame(conn, buf)
+		payload, nbuf, err := readFrame(rd, buf)
 		if err != nil {
 			return
 		}

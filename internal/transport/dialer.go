@@ -19,6 +19,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -343,30 +344,40 @@ func (d *Dialer) negotiate(st *linkState, authority string) (*binLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(binDialTimeout)
-	conn.SetDeadline(deadline)
-	hc, err := d.Session.NewSessionClient()
+	l, err := d.handshake(st, conn)
 	if err != nil {
 		conn.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+// handshake opens a link over a freshly dialed conn: the BinMagic
+// preamble and a hello in one write, then the accept. The link reads
+// every frame from here on through one buffered reader, so a frame that
+// fits the buffer costs one read(2) rather than one for its header and
+// one for its payload. The caller closes conn on error.
+func (d *Dialer) handshake(st *linkState, conn net.Conn) (*binLink, error) {
+	conn.SetDeadline(time.Now().Add(binDialTimeout))
+	hc, err := d.Session.NewSessionClient()
+	if err != nil {
 		return nil, err
 	}
 	hello := appendFrame([]byte(BinMagic), encodeHello(hc.Hello()))
 	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
 		return nil, err
 	}
-	payload, _, err := readFrame(conn, nil)
+	rd := bufio.NewReader(conn)
+	payload, buf, err := readFrame(rd, nil)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	sess, err := finishAccept(hc, payload)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return &binLink{d: d, st: st, conn: conn, sess: sess}, nil
+	return &binLink{d: d, st: st, conn: conn, rd: rd, sess: sess, buf: buf}, nil
 }
 
 // finishAccept folds an accept-or-error payload into a session.
@@ -500,10 +511,11 @@ type binLink struct {
 	// Exactly one of lane / conn is set.
 	lane *localLane
 	conn net.Conn
-	sess *Session // TCP-side session (lane keeps its own pair)
-	buf  []byte   // readFrame buffer, reused across exchanges
-	enc  []byte   // encoded request payload scratch (conn path)
-	wbuf []byte   // framed request scratch (conn path)
+	rd   *bufio.Reader // conn's reader; every frame is read through it
+	sess *Session      // TCP-side session (lane keeps its own pair)
+	buf  []byte        // readFrame buffer, reused across exchanges
+	enc  []byte        // encoded request payload scratch (conn path)
+	wbuf []byte        // framed request scratch (conn path)
 }
 
 // copyBody detaches a response body from the link's reusable buffers
@@ -577,7 +589,7 @@ func (l *binLink) exchangeConn(ctx context.Context, path, contentType, action st
 	if _, err := l.conn.Write(l.wbuf); err != nil {
 		return binResponse{}, false, err
 	}
-	payload, nbuf, err := readFrame(l.conn, l.buf)
+	payload, nbuf, err := readFrame(l.rd, l.buf)
 	if err != nil {
 		return binResponse{}, false, err
 	}
@@ -607,7 +619,7 @@ func (l *binLink) rekeyConn() error {
 	if err := writeFrame(l.conn, encodeHello(hc.Hello())); err != nil {
 		return err
 	}
-	payload, nbuf, err := readFrame(l.conn, l.buf)
+	payload, nbuf, err := readFrame(l.rd, l.buf)
 	if err != nil {
 		return err
 	}
