@@ -106,9 +106,9 @@ func encodeReply(binary bool, o *op, p *reply) []byte {
 // FuzzRegistryReply feeds both encodings' reply decoders, for the reply
 // shape of the operation the index byte picks from the op table. Neither
 // may panic. A reply that decodes survives its own encoder: exactly on
-// the binary wire; the XML encoding may normalize it once (characters
-// XML cannot carry, such as invalid UTF-8 the scanner lets through, are
-// replaced), after which it round-trips exactly.
+// the binary wire; the XML encoding may normalize it once (leaf text is
+// trimmed, characters XML cannot carry are replaced), after which it
+// round-trips exactly.
 func FuzzRegistryReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, binary bool, opIndex uint8, data []byte) {
 		o := ops[int(opIndex)%len(ops)]
@@ -130,4 +130,14 @@ func FuzzRegistryReply(f *testing.F) {
 			t.Fatalf("%s reply round trip changed it (binary %v, err %v):\n%+v\n%+v", o.name, binary, err, p, again)
 		}
 	})
+}
+
+// TestReplyRefusesInvalidUTF8: the XML reply decoder refuses a document
+// holding invalid UTF-8, as encoding/xml does, rather than decoding raw
+// bytes that its encoder would rewrite to U+FFFD. The document is the
+// FuzzRegistryReply seed xml-repl_status-invalid-utf8.
+func TestReplyRefusesInvalidUTF8(t *testing.T) {
+	if p, err := decodeReply(false, opReplStatus, []byte("<replStatus leader=\"\xfd\"/>")); err == nil {
+		t.Fatalf("decoded %+v, want an error", p)
+	}
 }

@@ -14,18 +14,25 @@
 // normalization, and namespace prefix resolution with scoped xmlns
 // bindings (matching encoding/xml's conventions: the reserved "xml"
 // prefix, unresolved prefixes left in Space verbatim, xmlns attributes
-// kept in Attrs). Divergences are leniencies only: invalid UTF-8 passes
-// through instead of erroring, and '<' inside attribute values is
-// tolerated.
+// kept in Attrs). Like encoding/xml, the scanner refuses invalid UTF-8
+// in attribute values, character data and CDATA sections: raw bytes that
+// reached a decoded value would turn into U+FFFD when Escape re-encodes
+// it, so a relayed document would change value. Divergences are
+// leniencies only: '<' inside attribute values is tolerated, and so are
+// control characters encoding/xml refuses.
 package xmltree
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"unicode/utf8"
 )
+
+// errInvalidUTF8 refuses text or an attribute value that is not UTF-8.
+var errInvalidUTF8 = errors.New("xmltree: invalid UTF-8")
 
 // xmlNamespace is the URI the reserved "xml" prefix is always bound to.
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
@@ -264,6 +271,9 @@ func (p *parser) attrValue() (string, error) {
 	}
 	raw := p.src[p.pos : p.pos+i]
 	p.pos += i + 1
+	if !utf8.ValidString(raw) {
+		return "", errInvalidUTF8
+	}
 	if !strings.ContainsAny(raw, "&\r") {
 		return raw, nil
 	}
@@ -294,6 +304,9 @@ func (p *parser) content(el *Element, rawName string) error {
 	addRun := func(run string) error {
 		if run == "" {
 			return nil
+		}
+		if !utf8.ValidString(run) {
+			return errInvalidUTF8
 		}
 		if strings.ContainsAny(run, "&\r") {
 			spill()
@@ -352,6 +365,9 @@ func (p *parser) content(el *Element, rawName string) error {
 			}
 			cdata := p.src[p.pos : p.pos+j]
 			p.pos += j + 3
+			if !utf8.ValidString(cdata) {
+				return errInvalidUTF8
+			}
 			// CDATA is literal: no entities, but newlines still normalize.
 			switch {
 			case cdata == "":

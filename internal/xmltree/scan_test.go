@@ -107,6 +107,8 @@ var corpus = []string{
 	`<a>héllo wörld — 日本語</a>`,
 	// Newline normalization.
 	"<a>one\r\ntwo\rthree</a>",
+	// Valid multi-byte UTF-8 in the same places still parses.
+	"<a v=\"\xe6\x97\xa5\" w='\xc3\xa9'>\xf0\x9f\x98\x80<![CDATA[\xe2\x98\x83]]></a>",
 	// A realistic SOAP envelope (the hot-path shape).
 	xml.Header + `<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"` +
 		` xmlns:xsd="http://www.w3.org/2001/XMLSchema" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"` +
@@ -116,8 +118,27 @@ var corpus = []string{
 		`</m:SetLevel></SOAP-ENV:Body></SOAP-ENV:Envelope>`,
 }
 
+// invalidUTF8 holds invalid UTF-8 — a stray continuation byte, a
+// truncated sequence, an overlong encoding and an encoded surrogate — in
+// attribute values, text, text after a child, text with an entity, and
+// CDATA. encoding/xml refuses every one, and so must the scanner.
+var invalidUTF8 = []string{
+	"<replStatus leader=\"\xfd\"/>",
+	"<a v='x\xe6\x97'/>",
+	"<a v=\"&amp;\xc0\xaf\"/>",
+	"<a>\xff</a>",
+	"<a>ok<b/>\xed\xa0\x80</a>",
+	"<a>&amp;\x80</a>",
+	"<a><![CDATA[\xfe]]></a>",
+}
+
 func TestScannerMatchesEncodingXML(t *testing.T) {
-	for _, doc := range corpus {
+	for _, doc := range invalidUTF8 {
+		if _, err := referenceParse([]byte(doc)); err == nil {
+			t.Errorf("%q: encoding/xml accepts it; the case tests nothing", doc)
+		}
+	}
+	for _, doc := range append(corpus[:len(corpus):len(corpus)], invalidUTF8...) {
 		want, wantErr := referenceParse([]byte(doc))
 		got, gotErr := Parse([]byte(doc))
 		if (wantErr == nil) != (gotErr == nil) {
