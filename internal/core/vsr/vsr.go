@@ -558,7 +558,7 @@ func selfEscaping(s string) bool {
 // them apart. FuzzRenderWSDL checks the equivalence against Generate.
 // The table is bounded by reset, like the parse caches.
 var (
-	renderMu   sync.RWMutex
+	renderMu   sync.Mutex
 	renderTmpl = map[string]renderTemplate{}
 )
 
@@ -574,9 +574,9 @@ func renderWSDL(it service.Interface, loc string) (string, error) {
 	}
 	var kb [512]byte
 	key := appendInterfaceKey(kb[:0], it)
-	renderMu.RLock()
+	renderMu.Lock()
 	t, ok := renderTmpl[string(key)]
-	renderMu.RUnlock()
+	renderMu.Unlock()
 	if ok {
 		return t.prefix + loc + t.tail, nil
 	}
